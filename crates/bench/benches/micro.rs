@@ -566,7 +566,7 @@ fn bench_parallel(c: &mut Criterion) {
             .unwrap();
             let mut parts = build.into_inner().unwrap();
             parts.sort_by_key(|(i, _)| *i);
-            let tables = nodb_exec::build_cold_join_tables(
+            let tables = nodb_exec::JoinTables::build(
                 parts.into_iter().map(|(_, p)| p).collect(),
                 p,
                 threads,

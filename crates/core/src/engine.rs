@@ -8,6 +8,7 @@
 //!
 //! [`LoadingStrategy`]: crate::LoadingStrategy
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,13 +18,12 @@ use std::time::{Duration, Instant};
 use parking_lot::RwLock;
 
 use nodb_exec::{
-    accumulate_into, aggregate, build_cold_join_tables, cold_join_build_morsel,
-    cold_join_partitions, cold_project_morsel, filter_positions, finish_group_partials,
-    fused_filter_aggregate, group_accumulate_range, group_aggregate, hash_join_positions,
-    merge_group_partials, parallel_filter_aggregate, parallel_filter_positions,
-    parallel_group_aggregate, parallel_hash_join_positions, sort_positions, stitch_cold_projection,
-    Accumulator, AggSpec, ColumnsScan, Expr, GroupPartial, OrdinalCols, ProjectPartial,
-    ProjectionCursor,
+    accumulate_into, aggregate, cold_join_build_morsel, cold_join_partitions, cold_project_morsel,
+    filter_positions, finish_group_partials, fused_filter_aggregate, group_accumulate_range,
+    group_aggregate, hash_join_positions, merge_group_partials, parallel_filter_aggregate,
+    parallel_filter_positions, parallel_group_aggregate, parallel_hash_join_positions,
+    sort_positions, stitch_cold_projection, Accumulator, AggSpec, ColumnsScan, Expr, GroupPartial,
+    JoinTables, OrdinalCols, ProjectPartial, ProjectionCursor,
 };
 use nodb_sql::{OutputExpr, Plan, Statement};
 use nodb_store::persist;
@@ -1419,7 +1419,7 @@ impl Engine {
             (rows, parts, cols)
         };
         let tables = profile::time(Phase::JoinBuild, || {
-            build_cold_join_tables(build_parts, p, self.cfg.threads)
+            JoinTables::build(build_parts, p, self.cfg.threads)
         })?;
 
         // Probe side: each morsel probes the partition tables as soon as
@@ -1515,14 +1515,18 @@ impl Engine {
             Some(filter_positions(&mat_r.cols, mat_r.n_rows, filter_r)?)
         };
 
-        let gather =
-            |col: Option<&Arc<ColumnData>>, pos: &Option<Vec<usize>>| -> Result<ColumnData> {
-                let col = col.ok_or_else(|| Error::exec("join key not materialised"))?;
-                Ok(match pos {
-                    None => col.as_ref().clone(),
-                    Some(p) => col.take(p),
-                })
-            };
+        /// A join key column reduced to its qualifying positions; an
+        /// unfiltered column is borrowed, not cloned.
+        fn gather<'a>(
+            col: Option<&'a Arc<ColumnData>>,
+            pos: &Option<Vec<usize>>,
+        ) -> Result<Cow<'a, ColumnData>> {
+            let col = col.ok_or_else(|| Error::exec("join key not materialised"))?;
+            Ok(match pos {
+                None => Cow::Borrowed(col.as_ref()),
+                Some(p) => Cow::Owned(col.take(p)),
+            })
+        }
         let key_l = gather(mat_l.cols.get(&join.left_key), &pos_l)?;
         let key_r = gather(mat_r.cols.get(&join.right_key), &pos_r)?;
         // Below `join_min_rows` the build stays serial: thread dispatch

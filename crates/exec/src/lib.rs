@@ -11,11 +11,12 @@
 //! * [`hybrid`] — fused filter+multi-aggregate single-pass operators
 //!   (§5.2.2 hybrid operators);
 //! * [`expr`] / [`agg`] — scalar expressions and aggregate accumulators;
-//! * [`join`] — hash and sort-merge equi-joins over columns;
+//! * [`join`] — hash and sort-merge equi-joins over columns, and the flat
+//!   partitioned [`JoinTables`] every integer hash join builds;
 //! * [`morsel`] — morsel-parallel variants of all of the above
 //!   (deterministic, byte-identical to serial), plus the fused *cold*
 //!   operators ([`cold_project_morsel`], [`cold_join_build_morsel`],
-//!   [`ColdJoinTables`]) that consume [`nodb_types::MorselBatch`]es
+//!   [`JoinTables`]) that consume [`nodb_types::MorselBatch`]es
 //!   straight from the tokenizer.
 //!
 //! The engine (`nodb-core`) picks a strategy per query and connects the
@@ -41,13 +42,12 @@ pub use columnar::{
 };
 pub use expr::{arith, ArithOp, Expr};
 pub use hybrid::fused_filter_aggregate;
-pub use join::{hash_join_positions, merge_join_positions, split_pairs};
+pub use join::{hash_join_positions, merge_join_positions, split_pairs, JoinEntry, JoinTables};
 pub use morsel::{
-    build_cold_join_tables, cold_join_build_morsel, cold_join_partitions, cold_project_morsel,
-    finish_group_partials, group_accumulate_range, group_partition_count, merge_group_partials,
-    parallel_filter_aggregate, parallel_filter_positions, parallel_group_aggregate,
-    parallel_hash_join_positions, stitch_cold_projection, ColdJoinTables, GroupPartial,
-    OrdinalCols, ProjectPartial, DEFAULT_MORSEL_ROWS,
+    cold_join_build_morsel, cold_join_partitions, cold_project_morsel, finish_group_partials,
+    group_accumulate_range, group_partition_count, merge_group_partials, parallel_filter_aggregate,
+    parallel_filter_positions, parallel_group_aggregate, parallel_hash_join_positions,
+    stitch_cold_projection, GroupPartial, OrdinalCols, ProjectPartial, DEFAULT_MORSEL_ROWS,
 };
 pub use stream::ProjectionCursor;
 pub use volcano::{

@@ -13,15 +13,15 @@
 //!   construction whose concatenation is byte-identical to the serial
 //!   [`filter_positions`](crate::columnar::filter_positions) result;
 //! * [`parallel_hash_join_positions`] — partitioned hash-join build and
-//!   probe over morsels of the key columns, reproducing the serial pair
-//!   order exactly.
+//!   probe over morsels of the key columns (the flat [`JoinTables`]),
+//!   reproducing the serial pair order exactly.
 //!
 //! It also provides the *fused cold* operators, which consume
 //! [`nodb_types::MorselBatch`]es straight from the tokenizer so cold
 //! queries execute while they parse: [`cold_project_morsel`] /
 //! [`stitch_cold_projection`] (per-worker projection emitters with
 //! morsel-order batch stitching) and [`cold_join_build_morsel`] /
-//! [`build_cold_join_tables`] / [`ColdJoinTables::probe_morsel`]
+//! [`JoinTables::build`] / [`JoinTables::probe_morsel`]
 //! (morsel-fed partitioned join build and probe).
 //!
 //! The raw-file half (tokenizer morsels) lives in `nodb-rawcsv`'s
@@ -47,7 +47,7 @@ use crate::agg::Accumulator;
 use crate::cols::Cols;
 use crate::columnar::{accumulate_into, filter_positions_range, AggSpec, GroupKey};
 use crate::expr::Expr;
-use crate::join::hash_join_positions;
+use crate::join::{hash_join_positions, IntKeys, JoinEntry, JoinTables};
 
 /// Default rows per morsel: big enough to amortise dispatch, small enough
 /// to balance skew and stay cache-resident.
@@ -59,7 +59,12 @@ pub const DEFAULT_MORSEL_ROWS: usize = 32_768;
 /// remaining workers at their next steal. Scheduling (steal counter, error
 /// flag, thread scope) comes from the shared `nodb-types` driver; this
 /// wrapper adds the ordered result slots.
-fn run_morsels<T, F>(n: usize, morsel_rows: usize, threads: usize, f: F) -> Result<Vec<T>>
+pub(crate) fn run_morsels<T, F>(
+    n: usize,
+    morsel_rows: usize,
+    threads: usize,
+    f: F,
+) -> Result<Vec<T>>
 where
     T: Send,
     F: Fn(usize, usize, usize) -> Result<T> + Sync,
@@ -252,10 +257,6 @@ fn group_partial_bytes(group_cols: usize, n_specs: usize) -> usize {
         + n_specs * std::mem::size_of::<Accumulator>()
         + std::mem::size_of::<(GroupKey, usize)>()
 }
-
-/// Approximate heap bytes of one `(key, position)` join-build entry once it
-/// sits in a partition vector *and* its hash-table bucket.
-const JOIN_ENTRY_BYTES: usize = std::mem::size_of::<(i64, usize)>();
 
 /// Build grouped partial-aggregate states over the row range `[lo, hi)`:
 /// filter with `conj`, then fold each qualifying row into its group's
@@ -466,14 +467,6 @@ pub fn finish_group_partials(merged: Vec<GroupPartial>) -> Result<Vec<Vec<Value>
     Ok(rows)
 }
 
-/// Fibonacci-multiplicative partition of a key into one of `p` (power of
-/// two) partitions, mixing high bits so sequential keys spread.
-#[inline]
-fn partition_of(key: i64, p: usize) -> usize {
-    let h = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (h >> (64 - p.trailing_zeros())) as usize & (p - 1)
-}
-
 /// Partition count for the parallel join build. One partition per worker
 /// (rounded to a power of two) keeps every thread busy in the build and
 /// probe phases; the previous `threads * 4` oversharding made each
@@ -483,70 +476,40 @@ fn join_partition_count(threads: usize) -> usize {
     threads.next_power_of_two().clamp(2, 64)
 }
 
-/// Morsel-parallel partitioned hash join over null-free int key columns:
-/// build-side morsels are hash-partitioned in parallel, each partition's
-/// table is built independently, and probe-side morsels look up their own
-/// partitions — no shared-table contention anywhere. Produces exactly the
-/// pair order of the serial [`hash_join_positions`] (right-scan order,
-/// ascending left position per match). Non-int or nullable keys fall back
-/// to the serial join.
+/// Morsel-parallel partitioned hash join over int key columns: build-side
+/// morsels are hash-partitioned in parallel (dropping NULL keys), each
+/// partition's flat table is built independently, and probe-side morsels
+/// look up their own partitions — no shared-table contention anywhere.
+/// Produces exactly the pair order of the serial [`hash_join_positions`]
+/// (right-scan order, ascending left position per match). Non-int keys
+/// and single-worker calls run the serial join.
 pub fn parallel_hash_join_positions(
     left: &ColumnData,
     right: &ColumnData,
     threads: usize,
     morsel_rows: usize,
 ) -> Result<Vec<(usize, usize)>> {
-    let (Some(ls), Some(rs)) = (left.as_i64_slice(), right.as_i64_slice()) else {
+    let (Some(lk), Some(rk)) = (IntKeys::of(left), IntKeys::of(right)) else {
         return hash_join_positions(left, right);
     };
-    let nullable = matches!(left, ColumnData::Int64 { nulls: Some(_), .. })
-        || matches!(right, ColumnData::Int64 { nulls: Some(_), .. });
-    if nullable || threads <= 1 {
+    if threads <= 1 {
         return hash_join_positions(left, right);
     }
     let p = join_partition_count(threads);
-
-    // Build phase 1: partition left morsels (parallel, order-preserving).
-    let partitioned = run_morsels(ls.len(), morsel_rows, threads, |_index, lo, hi| {
-        charge_current((hi - lo) * JOIN_ENTRY_BYTES)?;
-        let mut parts: Vec<Vec<(i64, usize)>> = vec![Vec::new(); p];
-        for (i, &k) in ls[lo..hi].iter().enumerate() {
-            parts[partition_of(k, p)].push((k, lo + i));
-        }
-        Ok(parts)
+    // Build: partition left morsels in parallel, then one table per
+    // partition. Morsels merge in index order, so each partition's left
+    // positions stay ascending — the serial insertion order.
+    let partitioned = run_morsels(left.len(), morsel_rows, threads, |_index, lo, hi| {
+        Ok(lk.partition(lo..hi, 0, p))
     })?;
-    // Build phase 2: one hash table per partition (parallel over
-    // partitions). Appending morsels in index order keeps each bucket's
-    // left positions ascending — the serial insertion order.
-    let mut part_entries: Vec<Vec<(i64, usize)>> = vec![Vec::new(); p];
-    for morsel_parts in partitioned {
-        for (pid, mut entries) in morsel_parts.into_iter().enumerate() {
-            part_entries[pid].append(&mut entries);
-        }
-    }
-    let part_entries = &part_entries;
-    let tables: Vec<HashMap<i64, Vec<usize>>> = run_morsels(p, 1, threads, |_index, lo, _hi| {
-        let entries = &part_entries[lo];
-        charge_current(entries.len() * 2 * JOIN_ENTRY_BYTES)?;
-        let mut t: HashMap<i64, Vec<usize>> = HashMap::with_capacity(entries.len());
-        for &(k, i) in entries {
-            t.entry(k).or_default().push(i);
-        }
-        Ok(t)
-    })?;
+    let tables = JoinTables::build(partitioned, p, threads)?;
 
     // Probe phase: each right morsel probes its keys' partitions; morsel
     // concatenation reproduces right-scan order.
     let tables = &tables;
-    let chunks = run_morsels(rs.len(), morsel_rows, threads, |_index, lo, hi| {
+    let chunks = run_morsels(right.len(), morsel_rows, threads, |_index, lo, hi| {
         let mut out: Vec<(usize, usize)> = Vec::new();
-        for (j, &k) in rs[lo..hi].iter().enumerate() {
-            if let Some(matches) = tables[partition_of(k, p)].get(&k) {
-                for &i in matches {
-                    out.push((i, lo + j));
-                }
-            }
-        }
+        tables.probe_into(rk, lo..hi, 0, &mut out);
         charge_current(out.len() * std::mem::size_of::<(usize, usize)>())?;
         Ok(out)
     })?;
@@ -661,95 +624,10 @@ pub fn cold_join_build_morsel(
     local_positions: &[usize],
     first_row: usize,
     partitions: usize,
-) -> Vec<Vec<(i64, usize)>> {
-    let mut parts: Vec<Vec<(i64, usize)>> = vec![Vec::new(); partitions];
-    let nullable = matches!(keys, ColumnData::Int64 { nulls: Some(_), .. });
-    if let (Some(ks), false) = (keys.as_i64_slice(), nullable) {
-        for &i in local_positions {
-            let k = ks[i];
-            parts[partition_of(k, partitions)].push((k, first_row + i));
-        }
-    } else {
-        for &i in local_positions {
-            if let Value::Int(k) = keys.get(i) {
-                parts[partition_of(k, partitions)].push((k, first_row + i));
-            }
-        }
-    }
-    parts
-}
-
-/// Partitioned hash tables of a completed cold join build: one table per
-/// partition, bucket vectors holding absolute build-side rows ascending.
-#[derive(Debug)]
-pub struct ColdJoinTables {
-    partitions: usize,
-    tables: Vec<HashMap<i64, Vec<usize>>>,
-}
-
-/// Merge per-morsel build partitions (in morsel index order) and build one
-/// hash table per partition, in parallel on stealing workers — the same
-/// radix merge the warm [`parallel_hash_join_positions`] build runs, fed
-/// from tokenizer morsels instead of a loaded column.
-pub fn build_cold_join_tables(
-    morsel_parts: Vec<Vec<Vec<(i64, usize)>>>,
-    partitions: usize,
-    threads: usize,
-) -> Result<ColdJoinTables> {
-    let mut part_entries: Vec<Vec<(i64, usize)>> = vec![Vec::new(); partitions];
-    for parts in morsel_parts {
-        for (pid, mut entries) in parts.into_iter().enumerate() {
-            part_entries[pid].append(&mut entries);
-        }
-    }
-    // The build side was accumulated on scan workers without metering
-    // (`cold_join_build_morsel` is infallible); charge the merged entries
-    // here, before the tables double them.
-    let total_entries: usize = part_entries.iter().map(Vec::len).sum();
-    charge_current(total_entries * JOIN_ENTRY_BYTES)?;
-    let part_entries = &part_entries;
-    let tables = run_morsels(partitions, 1, threads, |_index, lo, _hi| {
-        let entries = &part_entries[lo];
-        charge_current(entries.len() * 2 * JOIN_ENTRY_BYTES)?;
-        let mut t: HashMap<i64, Vec<usize>> = HashMap::with_capacity(entries.len());
-        for &(k, i) in entries {
-            t.entry(k).or_default().push(i);
-        }
-        Ok(t)
-    })?;
-    Ok(ColdJoinTables { partitions, tables })
-}
-
-impl ColdJoinTables {
-    /// Probe one probe-side morsel against the built tables, emitting
-    /// `(build row, probe row)` pairs in absolute coordinates. NULL keys
-    /// never match. Concatenating per-morsel outputs in morsel order
-    /// reproduces the serial pair order exactly: probe-scan order,
-    /// ascending build position per match.
-    pub fn probe_morsel(
-        &self,
-        keys: &ColumnData,
-        local_positions: &[usize],
-        first_row: usize,
-    ) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        let nullable = matches!(keys, ColumnData::Int64 { nulls: Some(_), .. });
-        let fast = if nullable { None } else { keys.as_i64_slice() };
-        for &j in local_positions {
-            let k = match fast {
-                Some(ks) => ks[j],
-                None => match keys.get(j) {
-                    Value::Int(k) => k,
-                    _ => continue,
-                },
-            };
-            if let Some(matches) = self.tables[partition_of(k, self.partitions)].get(&k) {
-                for &i in matches {
-                    out.push((i, first_row + j));
-                }
-            }
-        }
-        out
+) -> Vec<Vec<JoinEntry>> {
+    match IntKeys::of(keys) {
+        Some(keys) => keys.partition(local_positions.iter().copied(), first_row, partitions),
+        None => vec![Vec::new(); partitions],
     }
 }
 
@@ -847,7 +725,7 @@ mod tests {
                     cold_join_build_morsel(&b.columns[0], &local, b.first_row, p)
                 })
                 .collect();
-            let tables = build_cold_join_tables(parts, p, threads).unwrap();
+            let tables = JoinTables::build(parts, p, threads).unwrap();
             let pairs: Vec<(usize, usize)> = slice_batches(&ids, &probe_cols, n, morsel_rows)
                 .iter()
                 .flat_map(|b| {
@@ -872,7 +750,7 @@ mod tests {
         let serial = hash_join_positions(&build, &probe).unwrap();
         let p = cold_join_partitions(2);
         let parts = vec![cold_join_build_morsel(&build, &[0, 1, 2, 3], 0, p)];
-        let tables = build_cold_join_tables(parts, p, 2).unwrap();
+        let tables = JoinTables::build(parts, p, 2).unwrap();
         let pairs = tables.probe_morsel(&probe, &[0, 1, 2], 0);
         assert_eq!(pairs, serial);
     }
@@ -964,6 +842,22 @@ mod tests {
         let guard = MemoryGuard::new(Some(1024), None);
         let _scope = MemoryScope::enter(guard);
         let err = parallel_hash_join_positions(&left, &right, 4, 500).unwrap_err();
+        assert!(
+            matches!(err, Error::ResourceExhausted(_)),
+            "expected ResourceExhausted, got {err:?}"
+        );
+    }
+
+    #[test]
+    fn tight_memory_budget_sheds_cold_join_build() {
+        use nodb_types::resource::{MemoryGuard, MemoryScope};
+        let keys = ColumnData::from_i64((0..4000).map(|i| (i * 13) % 257).collect());
+        let p = cold_join_partitions(4);
+        let local: Vec<usize> = (0..keys.len()).collect();
+        let parts = vec![cold_join_build_morsel(&keys, &local, 0, p)];
+        let guard = MemoryGuard::new(Some(1024), None);
+        let _scope = MemoryScope::enter(guard);
+        let err = JoinTables::build(parts, p, 4).unwrap_err();
         assert!(
             matches!(err, Error::ResourceExhausted(_)),
             "expected ResourceExhausted, got {err:?}"
