@@ -417,7 +417,6 @@ fn bench_parallel(c: &mut Criterion) {
                 &group_specs,
                 threads,
                 morsel_rows,
-                0,
             )
             .unwrap()
         })

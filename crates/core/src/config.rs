@@ -2,8 +2,8 @@
 
 use std::path::PathBuf;
 
-use nodb_exec::DEFAULT_MORSEL_ROWS;
 use nodb_rawcsv::CsvOptions;
+use nodb_types::DEFAULT_MORSEL_ROWS;
 
 /// Which adaptive loading policy the engine runs (paper §3–§4). Each policy
 /// is one curve in Figures 1, 3 and 4.
@@ -87,17 +87,9 @@ pub struct EngineConfig {
     pub threads: usize,
     /// Rows per morsel in the parallel pipeline. Smaller morsels balance
     /// skew better; larger ones amortise dispatch. The default (32 Ki rows)
-    /// keeps a morsel's working set cache-resident.
+    /// keeps a morsel's working set cache-resident. A warm hash join runs
+    /// on one worker below two morsels on its larger side.
     pub morsel_rows: usize,
-    /// Merge partitions for the parallel GROUP BY (per-worker group tables
-    /// are radix-partitioned by key hash and merged partition-wise in
-    /// parallel). `0` = auto: twice the worker count, rounded to a power
-    /// of two.
-    pub group_partitions: usize,
-    /// Minimum rows on the larger join side before the hash join goes
-    /// parallel; smaller builds stay serial (thread dispatch and
-    /// partition scatter cost more than they save on small inputs).
-    pub join_min_rows: usize,
     /// CSV dialect and tokenizer options.
     pub csv: CsvOptions,
     /// Per-table memory budget for the adaptive store, in bytes. `None`
@@ -177,8 +169,6 @@ impl Default for EngineConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            group_partitions: 0,
-            join_min_rows: 2 * DEFAULT_MORSEL_ROWS,
             csv: CsvOptions::default(),
             memory_budget: None,
             store_dir: None,
@@ -230,8 +220,6 @@ mod tests {
         assert!(c.memory_budget.is_none());
         assert!(c.threads >= 1);
         assert!(c.morsel_rows >= 1);
-        assert_eq!(c.group_partitions, 0, "auto partition count");
-        assert!(c.join_min_rows > c.morsel_rows);
         assert_eq!(c.result_cache_bytes, 0, "result cache is opt-in");
         assert!(c.result_cache_max_entries > 0);
         assert!(c.query_mem_bytes.is_none(), "memory metering is opt-in");

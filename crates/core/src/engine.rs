@@ -19,11 +19,11 @@ use parking_lot::RwLock;
 
 use nodb_exec::{
     accumulate_into, aggregate, cold_join_build_morsel, cold_join_partitions, cold_project_morsel,
-    filter_positions, finish_group_partials, fused_filter_aggregate, group_accumulate_range,
-    group_aggregate, hash_join_positions, merge_group_partials, parallel_filter_aggregate,
-    parallel_filter_positions, parallel_group_aggregate, parallel_hash_join_positions,
-    sort_positions, stitch_cold_projection, Accumulator, AggSpec, ColumnsScan, Expr, GroupPartial,
-    JoinTables, OrdinalCols, ProjectPartial, ProjectionCursor,
+    filter_positions, finish_group_partials, group_accumulate_range, group_aggregate, join_workers,
+    merge_group_partials, parallel_filter_aggregate, parallel_filter_positions,
+    parallel_group_aggregate, parallel_hash_join_positions, sort_positions, stitch_cold_projection,
+    Accumulator, AggSpec, ColumnsScan, Expr, GroupPartial, JoinTables, OrdinalCols, ProjectPartial,
+    ProjectionCursor,
 };
 use nodb_sql::{OutputExpr, Plan, Statement};
 use nodb_store::persist;
@@ -1191,12 +1191,7 @@ impl Engine {
             }
         };
         let (rows_scanned, partials) = self.scan_cold_fused(&mut e, &scan_cols, now, sink)?;
-        // Count as a parallel execution only when more than one morsel
-        // existed — with a single morsel, scan_morsels clamps to one
-        // worker and the run was effectively serial.
-        if rows_scanned as usize > self.cfg.morsel_rows {
-            self.counters.add_parallel_pipeline();
-        }
+        self.note_pipeline(rows_scanned as usize);
 
         if let Some(exprs) = scalar_exprs {
             self.counters.add_fused_cold_projection();
@@ -1239,11 +1234,7 @@ impl Engine {
             // Partition-wise parallel merge, then the shared grouped
             // output shaping (column order, ORDER BY, OFFSET/LIMIT).
             let grouped = profile::time(Phase::GroupMerge, || {
-                finish_group_partials(merge_group_partials(
-                    group_partials,
-                    self.cfg.threads,
-                    self.cfg.group_partitions,
-                )?)
+                finish_group_partials(merge_group_partials(group_partials, self.cfg.threads)?)
             })?;
             let rows = format_grouped(plan, grouped)?;
             return Ok(Some(StreamBody::Rows { rows, cursor: 0 }));
@@ -1450,9 +1441,7 @@ impl Engine {
             (rows, chunks, cols)
         };
         self.counters.add_fused_cold_join();
-        if rows_l as usize > self.cfg.morsel_rows || rows_r as usize > self.cfg.morsel_rows {
-            self.counters.add_parallel_pipeline();
-        }
+        self.note_pipeline(rows_l.max(rows_r) as usize);
 
         // The pairs are already in absolute row coordinates — gather the
         // payload columns into the combined map and run the shared
@@ -1529,18 +1518,12 @@ impl Engine {
         }
         let key_l = gather(mat_l.cols.get(&join.left_key), &pos_l)?;
         let key_r = gather(mat_r.cols.get(&join.right_key), &pos_r)?;
-        // Below `join_min_rows` the build stays serial: thread dispatch
-        // plus the partition scatter cost more than they save on small
-        // builds (the measured sub-1.0 speedup of the old always-parallel
-        // gate).
-        let join_rows = key_l.len().max(key_r.len());
+        let (threads, morsel_rows) = (self.cfg.threads, self.cfg.morsel_rows);
+        if join_workers(threads, key_l.len().max(key_r.len()), morsel_rows) > 1 {
+            self.counters.add_parallel_pipeline();
+        }
         let pairs = profile::time(Phase::JoinBuild, || {
-            if self.cfg.threads > 1 && join_rows >= self.cfg.join_min_rows {
-                self.counters.add_parallel_pipeline();
-                parallel_hash_join_positions(&key_l, &key_r, self.cfg.threads, self.cfg.morsel_rows)
-            } else {
-                hash_join_positions(&key_l, &key_r)
-            }
+            parallel_hash_join_positions(&key_l, &key_r, threads, morsel_rows)
         })?;
 
         // Map join positions back through the filters and gather payload
@@ -1565,11 +1548,13 @@ impl Engine {
         self.execute_relational(plan, combined, n, &Conjunction::always())
     }
 
-    /// Whether a parallel kernel pays for its thread dispatch on `n_rows`
-    /// of input: more than one worker configured and at least one full
-    /// morsel of work.
-    fn parallel_worthwhile(&self, n_rows: usize) -> bool {
-        self.cfg.threads > 1 && n_rows >= self.cfg.morsel_rows
+    /// Count a morsel pipeline over `n_rows` rows in `parallel_pipelines`
+    /// when it ran more than one worker: threads > 1 and more than one
+    /// morsel.
+    fn note_pipeline(&self, n_rows: usize) {
+        if self.cfg.threads > 1 && n_rows > self.cfg.morsel_rows {
+            self.counters.add_parallel_pipeline();
+        }
     }
 
     /// The post-load relational pipeline: filter → group/aggregate →
@@ -1599,19 +1584,15 @@ impl Engine {
             let kernel = self.cfg.kernel;
             let vals = match kernel {
                 KernelStrategy::Hybrid | KernelStrategy::Auto => {
-                    if self.parallel_worthwhile(n_rows) {
-                        self.counters.add_parallel_pipeline();
-                        parallel_filter_aggregate(
-                            &cols,
-                            n_rows,
-                            residual,
-                            &agg_specs,
-                            self.cfg.threads,
-                            self.cfg.morsel_rows,
-                        )?
-                    } else {
-                        fused_filter_aggregate(&cols, n_rows, residual, &agg_specs)?
-                    }
+                    self.note_pipeline(n_rows);
+                    parallel_filter_aggregate(
+                        &cols,
+                        n_rows,
+                        residual,
+                        &agg_specs,
+                        self.cfg.threads,
+                        self.cfg.morsel_rows,
+                    )?
                 }
                 KernelStrategy::Columnar => {
                     let pos = if residual.is_always_true() {
@@ -1638,15 +1619,14 @@ impl Engine {
         }
 
         if !plan.group_by.is_empty() {
-            // Grouped aggregation: morsel-parallel per-worker group tables
-            // with a partition-wise merge when the input is big enough
-            // (kernel ablations keep measuring the serial fold).
+            // Grouped aggregation: per-morsel group tables with a
+            // partition-wise merge (kernel ablations keep measuring the
+            // serial fold).
             let grouped = if matches!(
                 self.cfg.kernel,
                 KernelStrategy::Auto | KernelStrategy::Hybrid
-            ) && self.parallel_worthwhile(n_rows)
-            {
-                self.counters.add_parallel_pipeline();
+            ) {
+                self.note_pipeline(n_rows);
                 parallel_group_aggregate(
                     &cols,
                     n_rows,
@@ -1655,7 +1635,6 @@ impl Engine {
                     &agg_specs,
                     self.cfg.threads,
                     self.cfg.morsel_rows,
-                    self.cfg.group_partitions,
                 )?
             } else {
                 let pos = if residual.is_always_true() {
@@ -1670,13 +1649,12 @@ impl Engine {
         }
 
         // Scalar (non-aggregate) query: resolve the qualifying positions
-        // eagerly (in parallel when the input is big enough), project
-        // lazily (batch by batch) — the stream is fed straight from the
-        // parallel pipeline's selection vector.
+        // eagerly, per morsel, project lazily (batch by batch) — the
+        // stream is fed straight from the pipeline's selection vector.
         let mut positions = if residual.is_always_true() {
             (0..n_rows).collect()
-        } else if self.parallel_worthwhile(n_rows) {
-            self.counters.add_parallel_pipeline();
+        } else {
+            self.note_pipeline(n_rows);
             parallel_filter_positions(
                 &cols,
                 n_rows,
@@ -1684,8 +1662,6 @@ impl Engine {
                 self.cfg.threads,
                 self.cfg.morsel_rows,
             )?
-        } else {
-            filter_positions(&cols, n_rows, residual)?
         };
         if !plan.order_by.is_empty() {
             positions = sort_positions(&cols, positions, &plan.order_by)?;
@@ -2010,32 +1986,94 @@ mod tests {
 
     #[test]
     fn all_kernels_same_results() {
-        for kernel in [
-            KernelStrategy::Auto,
-            KernelStrategy::Columnar,
-            KernelStrategy::Volcano,
-            KernelStrategy::Hybrid,
-        ] {
-            let dir = std::env::temp_dir().join(format!("nodb_engine_kernel_{kernel:?}"));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            let path = dir.join("r.csv");
-            std::fs::write(&path, DATA).unwrap();
-            let mut cfg = EngineConfig {
-                kernel,
-                ..EngineConfig::default()
-            };
-            cfg.threads = 1;
+        // Tiny morsels: on five rows Auto/Hybrid run several morsels at
+        // every thread count, cold and warm, and must agree with the
+        // serial Columnar/Volcano kernels (the first engine, Columnar at
+        // one thread, sets the reference).
+        let queries = [
+            "select sum(a1), max(a3), count(*) from r where a2 > 10 and a2 < 14",
+            "select a4, sum(a1), count(*) from r where a2 > 10 group by a4",
+            "select a1, a3 from r where a2 >= 12",
+        ];
+        let mut reference: Vec<Vec<Vec<Value>>> = Vec::new();
+        for threads in [1, 3] {
+            for kernel in [
+                KernelStrategy::Columnar,
+                KernelStrategy::Volcano,
+                KernelStrategy::Auto,
+                KernelStrategy::Hybrid,
+            ] {
+                let dir =
+                    std::env::temp_dir().join(format!("nodb_engine_kernel_{kernel:?}_{threads}"));
+                let _ = std::fs::remove_dir_all(&dir);
+                std::fs::create_dir_all(&dir).unwrap();
+                let path = dir.join("r.csv");
+                std::fs::write(&path, DATA).unwrap();
+                let mut cfg = EngineConfig {
+                    kernel,
+                    ..EngineConfig::default()
+                }
+                .with_threads(threads);
+                cfg.morsel_rows = 2;
+                let e = Engine::new(cfg);
+                e.register_table("r", &path).unwrap();
+                for (q, sql) in queries.iter().enumerate() {
+                    for run in ["cold", "warm"] {
+                        let rows = e.sql(sql).unwrap().rows;
+                        match reference.get(q) {
+                            None => reference.push(rows),
+                            Some(r) => {
+                                assert_eq!(&rows, r, "{kernel:?} threads={threads} {run}: {sql}")
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            reference[0],
+            vec![vec![Value::Int(6), Value::Int(103), Value::Int(3)]]
+        );
+    }
+
+    #[test]
+    fn float_aggregates_identical_across_thread_counts() {
+        // One-decimal floats do not sum exactly, so the association order
+        // shows in the last bits: every thread count must fold the same
+        // morsels in the same order, cold and warm.
+        let dir = std::env::temp_dir().join("nodb_engine_float_threads");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.csv");
+        let mut data = String::new();
+        for i in 0..5_000i64 {
+            data.push_str(&format!("{},{}.{}\n", i, (i * 37) % 1000, i % 10));
+        }
+        std::fs::write(&path, &data).unwrap();
+        let sql = "select sum(a2), avg(a2) from t where a1 > 10";
+        let bits = |rows: &[Vec<Value>]| -> Vec<u64> {
+            rows[0]
+                .iter()
+                .map(|v| match v {
+                    Value::Float(f) => f.to_bits(),
+                    other => panic!("expected a float, got {other:?}"),
+                })
+                .collect()
+        };
+        let mut reference: Option<Vec<u64>> = None;
+        for threads in [1, 2, 4] {
+            let mut cfg =
+                EngineConfig::with_strategy(LoadingStrategy::ColumnLoads).with_threads(threads);
+            cfg.morsel_rows = 64;
             let e = Engine::new(cfg);
-            e.register_table("r", &path).unwrap();
-            let out = e
-                .sql("select sum(a1), max(a3), count(*) from r where a2 > 10 and a2 < 14")
-                .unwrap();
-            assert_eq!(
-                out.rows[0],
-                vec![Value::Int(6), Value::Int(103), Value::Int(3)],
-                "{kernel:?}"
-            );
+            e.register_table("t", &path).unwrap();
+            for run in ["cold", "warm"] {
+                let got = bits(&e.sql(sql).unwrap().rows);
+                match &reference {
+                    None => reference = Some(got),
+                    Some(r) => assert_eq!(&got, r, "threads={threads} {run}"),
+                }
+            }
         }
     }
 
@@ -2605,7 +2643,6 @@ mod tests {
         for threads in [1, 2, 5] {
             let mut cfg = EngineConfig::default().with_threads(threads);
             cfg.morsel_rows = 500;
-            cfg.group_partitions = if threads == 5 { 4 } else { 0 };
             let e = Engine::new(cfg);
             e.register_table("r", &path).unwrap();
             // Warm the store first so the grouped kernel (not the cold
@@ -2620,6 +2657,29 @@ mod tests {
                 assert!(e.counters().snapshot().parallel_pipelines >= 1);
             }
         }
+    }
+
+    #[test]
+    fn warm_group_by_merge_is_profiled() {
+        let dir = std::env::temp_dir().join("nodb_engine_warm_group_merge");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("r.csv");
+        let mut data = String::new();
+        for i in 0..4_000i64 {
+            data.push_str(&format!("{},{}\n", i % 13, i));
+        }
+        std::fs::write(&path, &data).unwrap();
+        let mut cfg = EngineConfig::default().with_threads(2);
+        cfg.morsel_rows = 500;
+        let e = Engine::new(cfg);
+        e.register_table("r", &path).unwrap();
+        let sql = "select a1, sum(a2) from r group by a1";
+        // Load cold first, so the profiled run is the warm grouped kernel.
+        e.sql(sql).unwrap();
+        let text = e.explain_analyze(sql).unwrap();
+        assert!(text.contains("-- phase warm_kernel"), "{text}");
+        assert!(text.contains("-- phase group_merge"), "{text}");
     }
 
     #[test]
@@ -2638,12 +2698,11 @@ mod tests {
         }
         std::fs::write(&r, &rd).unwrap();
         std::fs::write(&s, &sd).unwrap();
-        let run = |join_min_rows: usize| {
+        let run = |morsel_rows: usize| {
             let mut cfg = EngineConfig::default().with_threads(4);
-            // Morsels bigger than the table: the post-join aggregate stays
-            // serial, so `parallel_pipelines` counts only the join's gate.
-            cfg.morsel_rows = 100_000;
-            cfg.join_min_rows = join_min_rows;
+            // The warm join goes parallel from two morsels on its larger
+            // side.
+            cfg.morsel_rows = morsel_rows;
             let e = Engine::new(cfg);
             e.register_table("r", &r).unwrap();
             e.register_table("s", &s).unwrap();
@@ -2654,11 +2713,12 @@ mod tests {
             assert_eq!(again.rows, out.rows);
             (out.rows, e.counters().snapshot().since(&before))
         };
-        // Threshold above the input: the warm join runs serial.
-        let (rows_hi, delta_hi) = run(1_000_000);
+        // Morsels bigger than the table: the warm join and the post-join
+        // aggregate run on one worker, so nothing counts as parallel.
+        let (rows_hi, delta_hi) = run(100_000);
         assert_eq!(delta_hi.parallel_pipelines, 0);
-        // Threshold below the input: the warm join goes parallel, with
-        // identical results (serial fallback vs partitioned build).
+        // Four morsels per side: the warm join goes parallel, with
+        // identical results (one-partition vs partitioned build).
         let (rows_lo, delta_lo) = run(1_000);
         assert!(delta_lo.parallel_pipelines >= 1);
         assert_eq!(rows_lo, rows_hi);

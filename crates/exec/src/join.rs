@@ -14,10 +14,9 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use nodb_types::resource::charge_current;
-use nodb_types::{ColumnData, Error, Result};
+use nodb_types::{run_morsels, ColumnData, Error, Result};
 
 use crate::columnar::GroupKey;
-use crate::morsel::run_morsels;
 
 /// One join-build entry: the key and its build-side row.
 pub type JoinEntry = (i64, usize);

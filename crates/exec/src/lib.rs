@@ -13,8 +13,10 @@
 //! * [`expr`] / [`agg`] — scalar expressions and aggregate accumulators;
 //! * [`join`] — hash and sort-merge equi-joins over columns, and the flat
 //!   partitioned [`JoinTables`] every integer hash join builds;
-//! * [`morsel`] — morsel-parallel variants of all of the above
-//!   (deterministic, byte-identical to serial), plus the fused *cold*
+//! * [`morsel`] — morsel-parallel variants of all of the above, which
+//!   are the hybrid kernel at every thread count (one worker is the
+//!   serial case; output never depends on the thread count), plus the
+//!   fused *cold*
 //!   operators ([`cold_project_morsel`], [`cold_join_build_morsel`],
 //!   [`JoinTables`]) that consume [`nodb_types::MorselBatch`]es
 //!   straight from the tokenizer.
@@ -45,9 +47,10 @@ pub use hybrid::fused_filter_aggregate;
 pub use join::{hash_join_positions, merge_join_positions, split_pairs, JoinEntry, JoinTables};
 pub use morsel::{
     cold_join_build_morsel, cold_join_partitions, cold_project_morsel, finish_group_partials,
-    group_accumulate_range, group_partition_count, merge_group_partials, parallel_filter_aggregate,
-    parallel_filter_positions, parallel_group_aggregate, parallel_hash_join_positions,
-    stitch_cold_projection, GroupPartial, OrdinalCols, ProjectPartial, DEFAULT_MORSEL_ROWS,
+    group_accumulate_range, group_partition_count, join_workers, merge_group_partials,
+    parallel_filter_aggregate, parallel_filter_positions, parallel_group_aggregate,
+    parallel_hash_join_positions, stitch_cold_projection, GroupPartial, OrdinalCols,
+    ProjectPartial,
 };
 pub use stream::ProjectionCursor;
 pub use volcano::{

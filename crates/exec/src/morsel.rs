@@ -28,71 +28,25 @@
 //! `scan_morsels`; `nodb-core` connects the two.
 //!
 //! Determinism: every parallel function here merges per-morsel results in
-//! morsel index order, so output does not depend on worker scheduling.
-//! Integer aggregates are bit-identical to serial execution; float sums
-//! are deterministic but associate per-morsel (with a single worker the
-//! grouped and join kernels delegate to the serial fold, which associates
-//! per-row).
+//! morsel index order, so output does not depend on worker scheduling or
+//! on the thread count — one worker is just the serial case of the same
+//! morsel loop. Integer aggregates are bit-identical to a serial row-by-row
+//! fold; float sums associate per morsel, so a different `morsel_rows` can
+//! change their last bits.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
+use nodb_types::profile::{self, Phase};
 use nodb_types::resource::charge_current;
-use nodb_types::{
-    drive_morsels, morsel_count, ColumnData, Conjunction, Error, MorselBatch, Result, Value,
-};
+use nodb_types::{run_morsels, ColumnData, Conjunction, Error, MorselBatch, Result, Value};
 
 use crate::agg::Accumulator;
 use crate::cols::Cols;
 use crate::columnar::{accumulate_into, filter_positions_range, AggSpec, GroupKey};
 use crate::expr::Expr;
 use crate::join::{hash_join_positions, IntKeys, JoinEntry, JoinTables};
-
-/// Default rows per morsel: big enough to amortise dispatch, small enough
-/// to balance skew and stay cache-resident.
-pub const DEFAULT_MORSEL_ROWS: usize = 32_768;
-
-/// Run `f(index, lo, hi)` for every morsel of `n` items, `morsel_rows` per
-/// morsel, on up to `threads` stealing workers. Results come back in morsel
-/// index order regardless of scheduling. The first error wins and stops
-/// remaining workers at their next steal. Scheduling (steal counter, error
-/// flag, thread scope) comes from the shared `nodb-types` driver; this
-/// wrapper adds the ordered result slots.
-pub(crate) fn run_morsels<T, F>(
-    n: usize,
-    morsel_rows: usize,
-    threads: usize,
-    f: F,
-) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize, usize, usize) -> Result<T> + Sync,
-{
-    let n_morsels = morsel_count(n, morsel_rows);
-    let mut slots: Vec<Mutex<Option<T>>> = Vec::with_capacity(n_morsels);
-    slots.resize_with(n_morsels, || Mutex::new(None));
-    drive_morsels(
-        n,
-        morsel_rows,
-        threads,
-        |_worker| (),
-        |_state, _worker, r| {
-            let v = f(r.index, r.lo, r.hi)?;
-            *slots[r.index].lock().expect("slot mutex") = Some(v);
-            Ok(())
-        },
-        |_state| {},
-    )?;
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("slot mutex")
-                .ok_or_else(|| Error::exec("morsel result missing"))
-        })
-        .collect()
-}
 
 /// Morsel-parallel fused filter + aggregate over materialised columns.
 /// Equivalent to [`fused_filter_aggregate`](crate::hybrid::fused_filter_aggregate)
@@ -331,13 +285,11 @@ fn group_key_hash(key: &GroupKey) -> u64 {
     h.finish()
 }
 
-/// Number of merge partitions for the parallel GROUP BY: the configured
-/// hint rounded to a power of two, or (when the hint is 0 = auto) twice
-/// the worker count — enough spread that stealing workers stay busy
-/// without fragmenting tiny group sets.
-pub fn group_partition_count(threads: usize, hint: usize) -> usize {
-    let p = if hint > 0 { hint } else { threads.max(1) * 2 };
-    p.next_power_of_two().clamp(1, 1024)
+/// Number of merge partitions for the parallel GROUP BY: twice the worker
+/// count, rounded to a power of two — enough spread that stealing workers
+/// stay busy without fragmenting tiny group sets.
+pub fn group_partition_count(threads: usize) -> usize {
+    (threads.max(1) * 2).next_power_of_two().min(1024)
 }
 
 /// Fold a stream of group partials into one table, merging accumulators
@@ -376,22 +328,25 @@ const SERIAL_MERGE_MAX_PARTIALS: usize = 4096;
 /// accumulators in morsel order (on stealing workers when `threads > 1`),
 /// and the flattened result is re-sorted by first appearance — byte-equal
 /// to the serial single-table fold for integer aggregates, deterministic
-/// for any worker count. Small partial sets (and single-worker calls)
-/// merge serially in one pass, with identical output: per-group merge
-/// order is morsel order either way. `parts` must be in morsel index
-/// order.
+/// for any worker count. A single morsel's partials are already merged
+/// and in first-appearance order, so they come back as they are; small
+/// partial sets (and single-worker calls) merge serially in one pass, with
+/// identical output: per-group merge order is morsel order either way.
+/// `parts` must be in morsel index order.
 pub fn merge_group_partials(
-    parts: Vec<Vec<GroupPartial>>,
+    mut parts: Vec<Vec<GroupPartial>>,
     threads: usize,
-    partitions: usize,
 ) -> Result<Vec<GroupPartial>> {
+    if parts.len() == 1 {
+        return Ok(parts.pop().expect("one morsel"));
+    }
     let total: usize = parts.iter().map(Vec::len).sum();
     if threads <= 1 || total <= SERIAL_MERGE_MAX_PARTIALS {
         let mut all = merge_ordered(parts.into_iter().flatten())?;
         all.sort_by_key(|g| g.first_pos);
         return Ok(all);
     }
-    let p = group_partition_count(threads, partitions);
+    let p = group_partition_count(threads);
     let mut buckets: Vec<Vec<GroupPartial>> = Vec::with_capacity(p);
     buckets.resize_with(p, Vec::new);
     // Scatter in morsel order (cheap: one move per *group*, not per row),
@@ -423,8 +378,7 @@ pub fn merge_group_partials(
 /// appearance — byte-identical to the serial
 /// [`group_aggregate`](crate::columnar::group_aggregate) output
 /// (`group key columns ++ aggregate results` per row) for any thread
-/// count. `partitions = 0` picks the partition count automatically.
-#[allow(clippy::too_many_arguments)]
+/// count. The merge is timed as [`Phase::GroupMerge`].
 pub fn parallel_group_aggregate<C: Cols + ?Sized + Sync>(
     cols: &C,
     n_rows: usize,
@@ -433,23 +387,13 @@ pub fn parallel_group_aggregate<C: Cols + ?Sized + Sync>(
     specs: &[AggSpec],
     threads: usize,
     morsel_rows: usize,
-    partitions: usize,
 ) -> Result<Vec<Vec<Value>>> {
-    if threads <= 1 {
-        // One worker: the serial fold is the same result without the
-        // per-morsel tables, scatter and merge.
-        let pos = if conj.is_always_true() {
-            None
-        } else {
-            Some(crate::columnar::filter_positions(cols, n_rows, conj)?)
-        };
-        return crate::columnar::group_aggregate(cols, n_rows, pos.as_deref(), group_cols, specs);
-    }
     let partials = run_morsels(n_rows, morsel_rows, threads, |_index, lo, hi| {
         group_accumulate_range(cols, lo, hi, conj, group_cols, specs, 0)
     })?;
-    let merged = merge_group_partials(partials, threads, partitions)?;
-    finish_group_partials(merged)
+    profile::time(Phase::GroupMerge, || {
+        finish_group_partials(merge_group_partials(partials, threads)?)
+    })
 }
 
 /// Turn merged group partials into result rows, `group key columns ++
@@ -469,11 +413,20 @@ pub fn finish_group_partials(merged: Vec<GroupPartial>) -> Result<Vec<Vec<Value>
 
 /// Partition count for the parallel join build. One partition per worker
 /// (rounded to a power of two) keeps every thread busy in the build and
-/// probe phases; the previous `threads * 4` oversharding made each
-/// partitioning morsel allocate four times the buckets for no extra
-/// parallelism, which is where the small-build regression came from.
+/// probe phases; one worker builds the single serial table.
 fn join_partition_count(threads: usize) -> usize {
-    threads.next_power_of_two().clamp(2, 64)
+    threads.next_power_of_two().min(64)
+}
+
+/// Workers the warm hash join runs on for `rows` rows on its larger side.
+/// Below two morsels, thread dispatch plus the partition scatter cost more
+/// than they save, so the join runs on one worker.
+pub fn join_workers(threads: usize, rows: usize, morsel_rows: usize) -> usize {
+    if rows < morsel_rows.max(1).saturating_mul(2) {
+        1
+    } else {
+        threads.max(1)
+    }
 }
 
 /// Morsel-parallel partitioned hash join over int key columns: build-side
@@ -481,8 +434,8 @@ fn join_partition_count(threads: usize) -> usize {
 /// partition's flat table is built independently, and probe-side morsels
 /// look up their own partitions — no shared-table contention anywhere.
 /// Produces exactly the pair order of the serial [`hash_join_positions`]
-/// (right-scan order, ascending left position per match). Non-int keys
-/// and single-worker calls run the serial join.
+/// (right-scan order, ascending left position per match) on
+/// [`join_workers`] workers. Non-int keys run the serial join.
 pub fn parallel_hash_join_positions(
     left: &ColumnData,
     right: &ColumnData,
@@ -492,9 +445,14 @@ pub fn parallel_hash_join_positions(
     let (Some(lk), Some(rk)) = (IntKeys::of(left), IntKeys::of(right)) else {
         return hash_join_positions(left, right);
     };
-    if threads <= 1 {
-        return hash_join_positions(left, right);
-    }
+    let threads = join_workers(threads, left.len().max(right.len()), morsel_rows);
+    // One worker takes each side as a single morsel: one partition and one
+    // probe pass, the serial table exactly.
+    let morsel_rows = if threads == 1 {
+        usize::MAX
+    } else {
+        morsel_rows
+    };
     let p = join_partition_count(threads);
     // Build: partition left morsels in parallel, then one table per
     // partition. Morsels merge in index order, so each partition's left
@@ -878,18 +836,6 @@ mod tests {
     }
 
     #[test]
-    fn run_morsels_propagates_errors() {
-        let r: Result<Vec<()>> = run_morsels(100, 10, 4, |index, _lo, _hi| {
-            if index == 7 {
-                Err(Error::exec("boom"))
-            } else {
-                Ok(())
-            }
-        });
-        assert!(r.is_err());
-    }
-
-    #[test]
     fn parallel_group_by_identical_to_serial() {
         let (cols, n) = table(10_000);
         let conj = Conjunction::new(vec![ColPred::new(1, CmpOp::Lt, 15_000i64)]);
@@ -903,23 +849,17 @@ mod tests {
         let serial = group_aggregate(&cols, n, Some(&pos), &group_cols, &specs).unwrap();
         for threads in [1, 2, 7] {
             for morsel_rows in [64, 1000, 100_000] {
-                for partitions in [0, 1, 8] {
-                    let par = parallel_group_aggregate(
-                        &cols,
-                        n,
-                        &conj,
-                        &group_cols,
-                        &specs,
-                        threads,
-                        morsel_rows,
-                        partitions,
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        par, serial,
-                        "threads={threads} morsel_rows={morsel_rows} partitions={partitions}"
-                    );
-                }
+                let par = parallel_group_aggregate(
+                    &cols,
+                    n,
+                    &conj,
+                    &group_cols,
+                    &specs,
+                    threads,
+                    morsel_rows,
+                )
+                .unwrap();
+                assert_eq!(par, serial, "threads={threads} morsel_rows={morsel_rows}");
             }
         }
     }
@@ -938,7 +878,6 @@ mod tests {
             &specs,
             3,
             128,
-            0,
         )
         .unwrap();
         assert_eq!(par, serial);
@@ -952,7 +891,6 @@ mod tests {
             &specs,
             3,
             128,
-            0,
         )
         .unwrap();
         assert!(par.is_empty());
@@ -976,8 +914,8 @@ mod tests {
         let specs = vec![AggSpec::on_col(AggFunc::Sum, 1), AggSpec::count_star()];
         let serial = group_aggregate(&cols, 5, None, &[0], &specs).unwrap();
         // Morsel size 2 splits the NULL group across three morsels.
-        let par = parallel_group_aggregate(&cols, 5, &Conjunction::always(), &[0], &specs, 4, 2, 0)
-            .unwrap();
+        let par =
+            parallel_group_aggregate(&cols, 5, &Conjunction::always(), &[0], &specs, 4, 2).unwrap();
         assert_eq!(par, serial);
         assert_eq!(par[0][0], Value::Null);
         assert_eq!(par[0][1], Value::Int(21));
@@ -1013,7 +951,6 @@ mod tests {
                 key_ty in 0u8..3,
                 threads in 1usize..6,
                 morsel_rows in 1usize..40,
-                partitions in 0usize..9,
             ) {
                 let n = seeds.len();
                 let key_dtype = match key_ty % 3 {
@@ -1046,7 +983,7 @@ mod tests {
                 let pos = filter_positions(&cols, n, &conj).unwrap();
                 let serial = group_aggregate(&cols, n, Some(&pos), &[0], &specs).unwrap();
                 let par = parallel_group_aggregate(
-                    &cols, n, &conj, &[0], &specs, threads, morsel_rows, partitions,
+                    &cols, n, &conj, &[0], &specs, threads, morsel_rows,
                 ).unwrap();
                 prop_assert_eq!(par, serial);
             }

@@ -4,10 +4,10 @@
 //!
 //! * [`tokenizer`] — the two-phase, predicate-pushing, positional-map-aware
 //!   CSV tokenizer (the paper's adaptive loading operator, §3.2), in two
-//!   shapes: merged scans ([`scan_bytes`]) and the
-//!   morsel-driven scan ([`scan_morsels`]) that feeds
+//!   shapes: the morsel-driven scan ([`scan_morsels`]) that feeds
 //!   [`nodb_types::MorselBatch`]es to per-worker consumers (the fused
-//!   cold pipeline in `nodb-exec` / `nodb-core`);
+//!   cold pipeline in `nodb-exec` / `nodb-core`), and merged scans
+//!   ([`scan_bytes`]) that collect its morsels in row order;
 //! * [`posmap`] — the adaptive positional map accumulating row/field byte
 //!   offsets as a side effect of every scan (§4.1.5);
 //! * [`split`] — dynamic file splitting, a.k.a. "file cracking" (§4):

@@ -21,7 +21,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use nodb_types::{Error, Result, Schema, WorkCounters};
+use nodb_types::{run_morsels, Error, Result, Schema, WorkCounters, DEFAULT_MORSEL_ROWS};
 
 use crate::tokenizer::{field_end, find_row_starts, read_file, CsvOptions};
 
@@ -162,15 +162,14 @@ impl SegmentCatalog {
             ))
         });
         // Walk every row, copying raw field bytes into the buffers. Rows
-        // are partitioned across threads (like scan phase 2); each thread
-        // fills private buffers which are concatenated in row order at
-        // write time.
+        // run in morsels on the shared driver (like scan phase 2); each
+        // morsel fills private buffers which are concatenated in row order
+        // at write time.
         let starts = find_row_starts(bytes, opts, counters)?;
         let nrows = starts.len();
-        let threads = opts.threads.clamp(1, nrows.max(1));
         let want_rest = rest_path.is_some();
         let chunk_work = |lo: usize, hi: usize| -> Result<(Vec<Vec<u8>>, Vec<u8>, u64)> {
-            let est_chunk = est / threads + 16;
+            let est_chunk = est * (hi - lo) / nrows.max(1) + 16;
             let mut bufs: Vec<Vec<u8>> =
                 (0..=upto).map(|_| Vec::with_capacity(est_chunk)).collect();
             let mut rest: Vec<u8> = Vec::new();
@@ -218,41 +217,12 @@ impl SegmentCatalog {
             }
             Ok((bufs, rest, fields))
         };
-        type SplitChunk = (Vec<Vec<u8>>, Vec<u8>, u64);
-        let chunks: Vec<SplitChunk> = if threads <= 1 || nrows < 4096 {
-            vec![chunk_work(0, nrows)?]
-        } else {
-            let per = nrows.div_ceil(threads);
-            let ranges: Vec<(usize, usize)> = (0..threads)
-                .map(|t| (t * per, ((t + 1) * per).min(nrows)))
-                .filter(|(lo, hi)| lo < hi)
-                .collect();
-            let mut outs: Vec<Option<Result<SplitChunk>>> = Vec::new();
-            outs.resize_with(ranges.len(), || None);
-            crossbeam::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for (i, &(lo, hi)) in ranges.iter().enumerate() {
-                    let work = &chunk_work;
-                    handles.push((
-                        i,
-                        s.spawn(move |_| {
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(lo, hi)))
-                                .unwrap_or_else(|p| Err(Error::from_panic("split worker", p)))
-                        }),
-                    ));
-                }
-                for (i, h) in handles {
-                    outs[i] = Some(
-                        h.join()
-                            .unwrap_or_else(|p| Err(Error::from_panic("split worker", p))),
-                    );
-                }
-            })
-            .map_err(|p| Error::from_panic("split scope", p))?;
-            outs.into_iter()
-                .map(|o| o.expect("all chunks processed"))
-                .collect::<Result<Vec<_>>>()?
-        };
+        let chunks = run_morsels(
+            nrows,
+            DEFAULT_MORSEL_ROWS,
+            opts.threads,
+            |_index, lo, hi| chunk_work(lo, hi),
+        )?;
         for (_, _, fields) in &chunks {
             counters.add_fields_tokenized(*fields);
         }

@@ -23,9 +23,13 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
+use std::sync::Mutex;
 
 use nodb_types::profile::{self, Phase};
-use nodb_types::{ColumnData, Conjunction, DataType, Error, Result, Schema, Value, WorkCounters};
+use nodb_types::{
+    ColumnData, Conjunction, DataType, Error, Result, Schema, Value, WorkCounters,
+    DEFAULT_MORSEL_ROWS,
+};
 
 use crate::bytes::{find_byte, find_byte2, find_byte3, parse_f64_bytes, parse_i64_bytes};
 use crate::posmap::{PositionalMap, UNKNOWN};
@@ -121,135 +125,54 @@ pub fn scan_file(
 
 /// Scan in-memory CSV bytes, producing qualifying rows for the requested
 /// columns and recording structural knowledge into `posmap` (if given).
+/// This is [`scan_morsels`] at [`DEFAULT_MORSEL_ROWS`] with the morsels
+/// merged in row order.
 pub fn scan_bytes(
     bytes: &[u8],
     opts: &CsvOptions,
     spec: &ScanSpec<'_>,
-    mut posmap: Option<&mut PositionalMap>,
+    posmap: Option<&mut PositionalMap>,
     counters: &WorkCounters,
 ) -> Result<ScanOutput> {
-    validate_spec(spec)?;
-
-    // Phase 1: row boundaries (reused from the positional map when valid).
-    let row_starts = phase1_row_starts(bytes, opts, &mut posmap, counters)?;
-    let nrows = row_starts.len();
-
-    let touch = touch_plan(spec);
-    if touch.is_empty() {
-        // Pure row-count scan: every row qualifies, nothing to parse.
-        return Ok(ScanOutput {
-            columns: BTreeMap::new(),
-            rowids: (0..nrows as u64).collect(),
-            rows_scanned: nrows as u64,
-        });
-    }
-    // Phase-2 wall time on the coordinating thread: the chunk scans run
-    // (possibly in parallel) strictly inside this region, and the merge
-    // below belongs to it too.
+    // Phase-2 wall time on the coordinating thread: the morsels run
+    // strictly inside this region, and the merge below belongs to it too
+    // (phase 1 nests inside and keeps its own, exclusive time).
     let _p2 = profile::phase(Phase::Tokenize2);
-    if let Some(p) = profile::current() {
-        p.add_bytes(bytes.len() as u64);
-    }
-    let max_touch = *touch.last().expect("nonempty");
-    let preds_by_col = group_pushdown(spec);
-    let record_cols = record_columns(posmap.as_deref(), max_touch);
-
-    let ctx = ScanCtx {
+    let morsels = Mutex::new(Vec::new());
+    let rows_scanned = scan_morsels(
         bytes,
-        row_starts: &row_starts,
-        file_len: bytes.len(),
         opts,
-        schema: spec.schema,
-        needed: &spec.needed,
-        touch: &touch,
-        max_touch,
-        preds_by_col: &preds_by_col,
-        record_cols: &record_cols,
-        posmap: posmap.as_deref(),
-        cancel: nodb_types::cancel::current(),
-    };
+        spec,
+        posmap,
+        counters,
+        DEFAULT_MORSEL_ROWS,
+        &|_worker, m| {
+            morsels.lock().expect("morsels mutex").push(m);
+            Ok(())
+        },
+    )?;
+    let mut morsels = morsels.into_inner().expect("morsels mutex");
+    morsels.sort_by_key(|m| m.index);
 
-    let threads = opts.threads.max(1).min(nrows.max(1));
-    let mut chunks: Vec<ChunkOut> = if threads <= 1 || nrows < 4096 {
-        vec![scan_row_range(&ctx, 0, nrows)?]
-    } else {
-        let per = nrows.div_ceil(threads);
-        let ranges: Vec<(usize, usize)> = (0..threads)
-            .map(|t| (t * per, ((t + 1) * per).min(nrows)))
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
-        let mut outs: Vec<Option<Result<ChunkOut>>> = Vec::new();
-        outs.resize_with(ranges.len(), || None);
-        // A panicking scan worker becomes a typed internal error on its
-        // own slot — never a process abort; the surrounding scope join
-        // then cannot observe a panic.
-        crossbeam::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for (i, &(lo, hi)) in ranges.iter().enumerate() {
-                let ctx = &ctx;
-                handles.push((
-                    i,
-                    s.spawn(move |_| {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            scan_row_range(ctx, lo, hi)
-                        }))
-                        .unwrap_or_else(|p| Err(Error::from_panic("tokenizer worker", p)))
-                    }),
-                ));
-            }
-            for (i, h) in handles {
-                outs[i] = Some(
-                    h.join()
-                        .unwrap_or_else(|p| Err(Error::from_panic("tokenizer worker", p))),
-                );
-            }
-        })
-        .map_err(|p| Error::from_panic("tokenizer scope", p))?;
-        outs.into_iter()
-            .map(|o| o.expect("all chunks scanned"))
-            .collect::<Result<Vec<_>>>()?
-    };
-
-    // Merge chunk outputs (chunks own contiguous row ranges in order).
-    let mut rowids: Vec<u64> = Vec::new();
-    let mut columns: BTreeMap<usize, ColumnData> = spec
+    let n_out = morsels.iter().map(|m| m.rowids.len()).sum();
+    let mut rowids: Vec<u64> = Vec::with_capacity(n_out);
+    let mut columns: Vec<ColumnData> = spec
         .needed
         .iter()
         .map(|&c| {
-            (
-                c,
-                ColumnData::empty(spec.schema.field(c).expect("validated").data_type),
-            )
+            ColumnData::with_capacity(spec.schema.field(c).expect("validated").data_type, n_out)
         })
         .collect();
-    let mut local_totals = LocalCounters::default();
-    for chunk in &mut chunks {
-        rowids.append(&mut chunk.rowids);
-        for (ni, &c) in spec.needed.iter().enumerate() {
-            let src =
-                std::mem::replace(&mut chunk.builders[ni], ColumnData::empty(DataType::Int64));
-            let dst = columns.get_mut(&c).expect("initialised above");
-            dst.append(src).expect("same type");
-        }
-        local_totals.absorb(&chunk.counters);
-    }
-    local_totals.flush(counters);
-
-    // Record learned positions. (`as_deref_mut` reborrows rather than
-    // moving — the clippy suggestion to drop it is wrong here.)
-    #[allow(clippy::needless_option_as_deref)]
-    if let Some(m) = posmap.as_deref_mut() {
-        for chunk in &chunks {
-            for (col, offs) in &chunk.recordings {
-                m.record_range(*col, chunk.first_row, offs);
-            }
+    for m in morsels {
+        rowids.extend(m.rowids);
+        for (dst, src) in columns.iter_mut().zip(m.columns) {
+            dst.append(src)?;
         }
     }
-
     Ok(ScanOutput {
-        columns,
+        columns: spec.needed.iter().copied().zip(columns).collect(),
         rowids,
-        rows_scanned: nrows as u64,
+        rows_scanned,
     })
 }
 
@@ -620,10 +543,9 @@ pub type Morsel = nodb_types::MorselBatch;
 /// [`ScanOutput`]. Workers *steal* morsels from a shared counter, so skew
 /// (selective pushdown regions, short rows) balances automatically.
 ///
-/// Structural knowledge still flows into `posmap` exactly as in
-/// [`scan_bytes`]: recordings are collected per morsel and written back
-/// once the workers have joined (the map is not shared mutably across
-/// threads). Returns the total rows scanned.
+/// Structural knowledge flows into `posmap`: recordings are collected per
+/// morsel and written back once the workers have joined (the map is not
+/// shared mutably across threads). Returns the total rows scanned.
 pub fn scan_morsels<F>(
     bytes: &[u8],
     opts: &CsvOptions,
@@ -949,41 +871,32 @@ pub fn find_row_starts(
     }
     match opts.quote {
         None if opts.threads > 1 && bytes.len() > 1 << 20 => {
-            let t = opts.threads;
-            let chunk = bytes.len().div_ceil(t);
-            let mut parts: Vec<Vec<u64>> = Vec::new();
-            parts.resize_with(t, Vec::new);
-            let mut panic_err: Option<Error> = None;
-            crossbeam::thread::scope(|s| {
-                let mut handles = Vec::new();
-                for (i, part) in parts.iter_mut().enumerate() {
-                    let lo = i * chunk;
-                    let hi = ((i + 1) * chunk).min(bytes.len());
-                    if lo >= hi {
-                        continue;
-                    }
-                    handles.push(s.spawn(move |_| {
-                        let mut v = Vec::new();
-                        newline_starts_into(bytes, lo, hi, &mut v);
-                        *part = v;
-                    }));
-                }
-                for h in handles {
-                    // First panic wins as a typed internal error; the
-                    // remaining workers still join so the scope exits
-                    // cleanly and the pool never wedges.
-                    if let Err(p) = h.join() {
-                        panic_err.get_or_insert(Error::from_panic("phase-1 worker", p));
-                    }
-                }
-            })
-            .map_err(|p| Error::from_panic("phase-1 scope", p))?;
-            if let Some(e) = panic_err {
-                return Err(e);
-            }
+            let chunk = bytes.len().div_ceil(opts.threads);
+            // Each worker fills a vector of its own, returned through
+            // `join`: pushing into adjacent headers of one shared `Vec`
+            // would make the workers' length updates share a cache line.
+            // A panicking worker becomes a typed internal error; every
+            // worker is joined before the first one is reported.
+            let parts: Vec<Result<Vec<u64>>> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..opts.threads)
+                    .map(|i| {
+                        let lo = (i * chunk).min(bytes.len());
+                        let hi = ((i + 1) * chunk).min(bytes.len());
+                        s.spawn(move || {
+                            let mut part = Vec::new();
+                            newline_starts_into(bytes, lo, hi, &mut part);
+                            part
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().map_err(|p| Error::from_panic("phase-1 worker", p)))
+                    .collect()
+            });
             starts.push(0);
-            for p in parts {
-                starts.extend(p);
+            for part in parts {
+                starts.extend(part?);
             }
         }
         None => {

@@ -14,9 +14,10 @@
 //!   each column based on values"),
 //! * [`counters`] — work counters (bytes read, fields tokenized, ...) that
 //!   make the benchmark "shape" claims auditable,
-//! * [`morsel`] — the shared morsel-stealing driver ([`drive_morsels`])
-//!   every parallel pool (tokenizer morsels, post-load operator morsels)
-//!   schedules through, and the [`MorselBatch`] unit of work the fused
+//! * [`morsel`] — the shared morsel-stealing driver ([`drive_morsels`],
+//!   ordered form [`run_morsels`]) every row-parallel loop (tokenizer
+//!   morsels, file splitting, post-load operator morsels) schedules
+//!   through, and the [`MorselBatch`] unit of work the fused
 //!   cold pipeline passes from the tokenizer (`nodb-rawcsv`) to the
 //!   operators (`nodb-exec`),
 //! * [`cancel`] — cooperative query cancellation: a [`CancelToken`]
@@ -55,7 +56,9 @@ pub use column::ColumnData;
 pub use counters::{CountersSnapshot, WorkCounters};
 pub use error::{Error, Result};
 pub use interval::{Bound, Interval, IntervalSet};
-pub use morsel::{drive_morsels, morsel_count, MorselBatch, MorselRange};
+pub use morsel::{
+    drive_morsels, morsel_count, run_morsels, MorselBatch, MorselRange, DEFAULT_MORSEL_ROWS,
+};
 pub use predicate::{CmpOp, ColPred, Conjunction, SelectionBox};
 pub use profile::{
     CacheOutcome, LatencyHistogram, Phase, ProfileHandle, ProfileScope, ProfileSink, QueryProfile,

@@ -2,12 +2,12 @@
 //!
 //! Morsel-driven parallelism (Leis et al., SIGMOD 2014) splits an input
 //! into fixed-size ranges that worker threads *steal* from a shared atomic
-//! counter. Two independent pools used to implement that loop — the raw
-//! tokenizer's `scan_morsels` (nodb-rawcsv) and the post-load operators'
-//! `run_morsels` (nodb-exec) — each with their own steal counter, error
-//! flag and thread-scope plumbing. This module is the single driver both
-//! build on, so the scheduling semantics (steal order, first-error-wins
-//! cancellation, worker clamping) cannot drift apart.
+//! counter. Every row-parallel loop of the engine runs on this one driver
+//! — the tokenizer's `scan_morsels` and merged scans (nodb-rawcsv), file
+//! splitting, and the post-load operators (nodb-exec) — so the scheduling
+//! semantics (steal order, first-error-wins cancellation, worker clamping)
+//! cannot drift apart. One worker is simply the serial case: the loop runs
+//! inline on the calling thread, in morsel order.
 //!
 //! Call-site-specific behaviour stays at the call site, passed in as
 //! closures:
@@ -19,6 +19,9 @@
 //!   entries, or stash per-morsel results;
 //! * `flush(state)` runs once per worker after its last steal (e.g. the
 //!   counter-flush hook that batches atomic counter updates).
+//!
+//! [`run_morsels`] is the ordered form most callers want: one result per
+//! morsel, returned in morsel index order.
 //!
 //! Error semantics: the first `step` error wins; every other worker stops
 //! at its next steal, `flush` still runs for each started worker, and the
@@ -78,6 +81,10 @@ pub struct MorselRange {
     /// Last item (exclusive).
     pub hi: usize,
 }
+
+/// Default rows per morsel: big enough to amortise dispatch, small enough
+/// to balance skew and stay cache-resident.
+pub const DEFAULT_MORSEL_ROWS: usize = 32_768;
 
 /// Number of morsels needed to cover `n_items` at `per_morsel` each.
 pub fn morsel_count(n_items: usize, per_morsel: usize) -> usize {
@@ -188,29 +195,28 @@ where
         // down: catch the unwind on the worker thread itself, convert it
         // to a typed internal error through the same first-error-wins
         // slot, and let every sibling stop at its next steal. `join`
-        // therefore never observes a panic; the unreachable fallbacks
-        // keep us honest if one slips through anyway.
-        crossbeam::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let run_worker = &run_worker;
-                let record_failure = &record_failure;
-                handles.push(s.spawn(move |_| {
-                    let caught =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_worker(w)));
-                    if let Err(payload) = caught {
-                        record_failure(Error::from_panic("morsel worker", payload));
-                    }
-                }));
-            }
+        // therefore never observes a panic; its unreachable fallback
+        // keeps us honest if one slips through anyway.
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let run_worker = &run_worker;
+                    let record_failure = &record_failure;
+                    s.spawn(move || {
+                        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            run_worker(w)
+                        }));
+                        if let Err(payload) = caught {
+                            record_failure(Error::from_panic("morsel worker", payload));
+                        }
+                    })
+                })
+                .collect();
             for h in handles {
                 if let Err(payload) = h.join() {
                     record_failure(Error::from_panic("morsel worker", payload));
                 }
             }
-        })
-        .unwrap_or_else(|payload| {
-            record_failure(Error::from_panic("morsel scope", payload));
         });
     }
 
@@ -218,6 +224,38 @@ where
         Some(e) => Err(e),
         None => Ok(()),
     }
+}
+
+/// Run `f(index, lo, hi)` for every morsel of `n` items, `per_morsel` per
+/// morsel, on up to `threads` stealing workers (see [`drive_morsels`]).
+/// Results come back in morsel index order regardless of scheduling.
+pub fn run_morsels<T, F>(n: usize, per_morsel: usize, threads: usize, f: F) -> Result<Vec<T>>
+where
+    T: Send,
+    F: Fn(usize, usize, usize) -> Result<T> + Sync,
+{
+    let mut slots: Vec<Mutex<Option<T>>> = Vec::new();
+    slots.resize_with(morsel_count(n, per_morsel), || Mutex::new(None));
+    drive_morsels(
+        n,
+        per_morsel,
+        threads,
+        |_worker| (),
+        |_state, _worker, r| {
+            let v = f(r.index, r.lo, r.hi)?;
+            *slots[r.index].lock().unwrap_or_else(|p| p.into_inner()) = Some(v);
+            Ok(())
+        },
+        |_state| {},
+    )?;
+    slots
+        .into_iter()
+        .map(|s| {
+            s.into_inner()
+                .unwrap_or_else(|p| p.into_inner())
+                .ok_or_else(|| Error::exec("morsel result missing"))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -470,6 +508,23 @@ mod tests {
         // Without a scope the driver records nothing new.
         drive_morsels(100, 10, 4, |_w| (), |_s, _w, _r| Ok(()), |_s| {}).unwrap();
         assert_eq!(sink.snapshot().morsels, 100);
+    }
+
+    #[test]
+    fn run_morsels_orders_results_and_propagates_errors() {
+        let got = run_morsels(100, 7, 4, |index, lo, hi| Ok((index, lo, hi))).unwrap();
+        assert_eq!(got.len(), 15);
+        for (i, &(index, lo, hi)) in got.iter().enumerate() {
+            assert_eq!((index, lo, hi), (i, i * 7, (i * 7 + 7).min(100)));
+        }
+        let r: Result<Vec<()>> = run_morsels(100, 10, 4, |index, _lo, _hi| {
+            if index == 7 {
+                Err(Error::exec("boom"))
+            } else {
+                Ok(())
+            }
+        });
+        assert!(r.is_err());
     }
 
     #[test]
