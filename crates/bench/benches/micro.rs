@@ -32,6 +32,7 @@ use nodb_exec::{
 };
 use nodb_rawcsv::gen::Permutation;
 use nodb_rawcsv::tokenizer::{scan_bytes, scan_morsels, CsvOptions, ScanSpec};
+use nodb_rawcsv::Source;
 use nodb_store::{CrackedColumn, PartitionedCracked};
 use nodb_types::{CmpOp, ColPred, ColumnData, Conjunction, Schema, WorkCounters};
 
@@ -325,7 +326,7 @@ fn bench_parallel(c: &mut Criterion) {
             let partials: std::sync::Mutex<Vec<(usize, Vec<nodb_exec::Accumulator>)>> =
                 std::sync::Mutex::new(Vec::new());
             scan_morsels(
-                &data,
+                &Source::bytes(&data),
                 &opts,
                 &spec,
                 None,
@@ -471,7 +472,7 @@ fn bench_parallel(c: &mut Criterion) {
             let partials: std::sync::Mutex<Vec<(usize, nodb_exec::ProjectPartial)>> =
                 std::sync::Mutex::new(Vec::new());
             scan_morsels(
-                &data,
+                &Source::bytes(&data),
                 &opts,
                 &spec,
                 None,
@@ -544,7 +545,7 @@ fn bench_parallel(c: &mut Criterion) {
             let counters = WorkCounters::new();
             let build: std::sync::Mutex<BuildParts> = std::sync::Mutex::new(Vec::new());
             scan_morsels(
-                &build_data,
+                &Source::bytes(&build_data),
                 &opts,
                 &jspec,
                 None,
@@ -573,7 +574,7 @@ fn bench_parallel(c: &mut Criterion) {
             .unwrap();
             let chunks: std::sync::Mutex<PairChunks> = std::sync::Mutex::new(Vec::new());
             scan_morsels(
-                &probe_data,
+                &Source::bytes(&probe_data),
                 &opts,
                 &jspec,
                 None,

@@ -14,7 +14,7 @@ use std::time::SystemTime;
 
 use parking_lot::RwLock;
 
-use nodb_rawcsv::{infer_from_bytes, CsvOptions, PositionalMap, SegmentCatalog};
+use nodb_rawcsv::{CsvOptions, PositionalMap, SegmentCatalog};
 use nodb_store::TableData;
 use nodb_types::{ColumnData, Error, Result, Schema, WorkCounters};
 
@@ -178,33 +178,6 @@ impl TableEntry {
             self.invalidate();
             // Infer schema from a bounded prefix of the file.
             let info = nodb_rawcsv::infer_file(&self.path, csv, sample_rows, counters)?;
-            self.schema_info = Some(SchemaInfo {
-                schema: info.schema,
-                has_header: info.has_header,
-                data_start: info.data_start,
-            });
-            self.fingerprint = Some(fp);
-            self.schema_epoch = next_epoch();
-        }
-        Ok(changed)
-    }
-
-    /// Like [`TableEntry::ensure_current`] but inferring from bytes already
-    /// in memory (saves a read when the caller holds the file content).
-    pub fn ensure_current_with_bytes(
-        &mut self,
-        bytes: &[u8],
-        csv: &CsvOptions,
-        sample_rows: usize,
-    ) -> Result<bool> {
-        if self.resident {
-            return Ok(false);
-        }
-        let fp = Fingerprint::of(&self.path)?;
-        let changed = self.fingerprint != Some(fp);
-        if changed {
-            self.invalidate();
-            let info = infer_from_bytes(bytes, csv, sample_rows)?;
             self.schema_info = Some(SchemaInfo {
                 schema: info.schema,
                 has_header: info.has_header,

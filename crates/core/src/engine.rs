@@ -175,6 +175,7 @@ impl Engine {
         // because re-arming would reset per-site hit counts.
         static FAILPOINTS_ENV: std::sync::Once = std::sync::Once::new();
         FAILPOINTS_ENV.call_once(nodb_types::failpoints::init_from_env);
+        crate::alloc::reuse_freed_arrays();
         cfg.threads = cfg.threads.max(1);
         cfg.csv.threads = cfg.threads;
         cfg.morsel_rows = cfg.morsel_rows.max(1);
@@ -360,21 +361,35 @@ impl Engine {
 
     /// Restore previously persisted columns of `name` from `dir` into the
     /// adaptive store (the "cold start" path: binary deserialisation
-    /// instead of CSV re-parsing).
+    /// instead of CSV re-parsing). Phase 1 runs first, when the row count
+    /// is not known yet (it streams the file and warms the positional
+    /// map); a persisted column whose length differs from the file's row
+    /// count is refused with a schema error and nothing is installed.
     pub fn restore_table(&self, name: &str, dir: &Path) -> Result<usize> {
         let entry = self.catalog.read().get(name)?;
         let mut e = entry.write();
         e.ensure_current(&self.cfg.csv, self.cfg.infer_sample_rows, &self.counters)?;
+        let nrows = crate::policy::ensure_nrows(&mut e, &self.cfg, &self.counters)?;
         let ncols = e.schema()?.len();
-        let now = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut restored = 0;
+        let mut cols = Vec::new();
         for c in 0..ncols {
             let p = dir.join(format!("col{c}.bin"));
             if p.exists() {
                 let col = persist::read_column(&p, &self.counters)?;
-                e.store.insert_full(c, col, now);
-                restored += 1;
+                if col.len() as u64 != nrows {
+                    return Err(Error::schema(format!(
+                        "persisted column {c} of {name:?} has {} rows but the raw file has \
+                         {nrows}; was the file edited since it was persisted?",
+                        col.len()
+                    )));
+                }
+                cols.push((c, col));
             }
+        }
+        let now = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let restored = cols.len();
+        for (c, col) in cols {
+            e.store.insert_full(c, col, now);
         }
         Ok(restored)
     }
@@ -1279,7 +1294,7 @@ impl Engine {
         now: u64,
         sink: impl Fn(&nodb_rawcsv::Morsel) -> Result<T> + Sync,
     ) -> Result<(u64, Vec<T>)> {
-        let bytes = crate::policy::read_data_bytes(e, &self.counters)?;
+        let source = crate::policy::open_data(e, &self.counters)?;
         let schema = e.schema()?.clone();
         let spec = nodb_rawcsv::ScanSpec {
             schema: &schema,
@@ -1298,7 +1313,7 @@ impl Engine {
         };
         let posmap = self.cfg.use_positional_map.then_some(&mut e.posmap);
         let rows_scanned = nodb_rawcsv::scan_morsels(
-            &bytes,
+            &source,
             &self.cfg.csv,
             &spec,
             posmap,
@@ -1308,9 +1323,13 @@ impl Engine {
         )?;
         let mut pieces = pieces.into_inner().expect("pieces mutex");
         pieces.sort_by_key(|p| p.0);
+        // No pushdown: every scanned row lands in the columns.
         let mut full: Vec<ColumnData> = scan_cols
             .iter()
-            .map(|&c| ColumnData::empty(schema.field(c).expect("validated").data_type))
+            .map(|&c| {
+                let ty = schema.field(c).expect("validated").data_type;
+                ColumnData::with_capacity(ty, rows_scanned as usize)
+            })
             .collect();
         let mut payloads: Vec<T> = Vec::with_capacity(pieces.len());
         for (_index, columns, payload) in pieces {

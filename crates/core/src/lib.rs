@@ -31,6 +31,7 @@
 //! # Ok::<(), nodb_types::Error>(())
 //! ```
 
+mod alloc;
 pub mod catalog;
 pub mod config;
 pub mod engine;

@@ -17,7 +17,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use nodb_rawcsv::tokenizer::{read_file, scan_bytes, ScanSpec};
+use nodb_rawcsv::tokenizer::{read_file, scan_bytes, scan_source, ScanSpec};
+use nodb_rawcsv::Source;
 use nodb_store::Fragment;
 use nodb_types::{
     Bound, CmpOp, ColPred, ColumnData, Conjunction, Error, Interval, Result, SelectionBox,
@@ -87,14 +88,9 @@ pub fn materialize(
     }
 }
 
-/// Read the raw file and return its bytes with the header row sliced off.
-pub(crate) fn read_data_bytes(entry: &TableEntry, counters: &WorkCounters) -> Result<Vec<u8>> {
-    let mut bytes = read_file(&entry.path, counters)?;
-    let start = entry.data_start() as usize;
-    if start > 0 {
-        bytes.drain(..start.min(bytes.len()));
-    }
-    Ok(bytes)
+/// Open the raw file as a scan source starting at its first data row.
+pub(crate) fn open_data<'a>(entry: &TableEntry, counters: &'a WorkCounters) -> Result<Source<'a>> {
+    Source::open(&entry.path, entry.data_start(), counters)
 }
 
 /// Scan the raw file for `needed` columns with an optional pushdown filter.
@@ -105,7 +101,7 @@ fn scan_raw(
     cfg: &EngineConfig,
     counters: &WorkCounters,
 ) -> Result<nodb_rawcsv::ScanOutput> {
-    let bytes = read_data_bytes(entry, counters)?;
+    let source = open_data(entry, counters)?;
     let schema = entry.schema()?.clone();
     let spec = ScanSpec {
         schema: &schema,
@@ -113,7 +109,7 @@ fn scan_raw(
         pushdown,
     };
     let posmap = cfg.use_positional_map.then_some(&mut entry.posmap);
-    scan_bytes(&bytes, &cfg.csv, &spec, posmap, counters)
+    scan_source(&source, &cfg.csv, &spec, posmap, counters)
 }
 
 /// Dense materialisation of `needed` straight from fully loaded columns.
@@ -134,7 +130,7 @@ fn dense_from_store(entry: &mut TableEntry, needed: &[usize], now: u64) -> Resul
 }
 
 /// Ensure the table's row count is known (phase-1-only scan if needed).
-fn ensure_nrows(
+pub(crate) fn ensure_nrows(
     entry: &mut TableEntry,
     cfg: &EngineConfig,
     counters: &WorkCounters,
@@ -326,7 +322,7 @@ fn external_scan(
 ) -> Result<Materialized> {
     // Models an engine that keeps no state: every query re-reads and fully
     // re-parses the file (all columns, no pushdown, no positional map).
-    let bytes = read_data_bytes(entry, counters)?;
+    let source = open_data(entry, counters)?;
     let schema = entry.schema()?.clone();
     let all: Vec<usize> = (0..schema.len()).collect();
     let spec = ScanSpec {
@@ -334,7 +330,7 @@ fn external_scan(
         needed: all,
         pushdown: None,
     };
-    let out = scan_bytes(&bytes, &cfg.csv, &spec, None, counters)?;
+    let out = scan_source(&source, &cfg.csv, &spec, None, counters)?;
     let n = out.rows_scanned as usize;
     let mut cols = BTreeMap::new();
     for (c, col) in out.columns {

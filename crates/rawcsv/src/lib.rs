@@ -7,7 +7,11 @@
 //!   shapes: the morsel-driven scan ([`scan_morsels`]) that feeds
 //!   [`nodb_types::MorselBatch`]es to per-worker consumers (the fused
 //!   cold pipeline in `nodb-exec` / `nodb-core`), and merged scans
-//!   ([`scan_bytes`]) that collect its morsels in row order;
+//!   ([`scan_source`], [`scan_file`], [`scan_bytes`]) that collect its
+//!   morsels in row order;
+//! * [`source`] — what a scan reads: bytes in memory or an opened raw file,
+//!   one byte range at a time into per-worker buffers charged to the
+//!   query's memory guard;
 //! * [`posmap`] — the adaptive positional map accumulating row/field byte
 //!   offsets as a side effect of every scan (§4.1.5);
 //! * [`split`] — dynamic file splitting, a.k.a. "file cracking" (§4):
@@ -21,12 +25,15 @@ pub mod bytes;
 pub mod gen;
 pub mod posmap;
 pub mod schema;
+pub mod source;
 pub mod split;
 pub mod tokenizer;
 
 pub use posmap::PositionalMap;
 pub use schema::{infer_file, infer_from_bytes, InferredSchema};
+pub use source::Source;
 pub use split::{Segment, SegmentCatalog};
 pub use tokenizer::{
-    read_file, scan_bytes, scan_file, scan_morsels, CsvOptions, Morsel, ScanOutput, ScanSpec,
+    read_file, scan_bytes, scan_file, scan_morsels, scan_source, CsvOptions, Morsel, ScanOutput,
+    ScanSpec,
 };

@@ -1,18 +1,22 @@
 //! Two-phase, predicate-pushing, positional-map-aware CSV tokenizer.
 //!
-//! This is the paper's adaptive loading operator (§3.2) as a library:
+//! This is the paper's adaptive loading operator (§3.2) as a library. It
+//! reads a [`Source`] — bytes in memory or the raw file itself — one byte
+//! range at a time, never the whole file at once:
 //!
-//! * **Phase 1** locates row boundaries (parallel chunk scan for newlines;
-//!   serial state machine when quoting is enabled, since a chunk boundary
-//!   may fall inside a quoted field). The result is cached in the
-//!   [`PositionalMap`] so newline scanning happens at most once per file.
-//! * **Phase 2** walks each row only as far as the *maximum referenced
-//!   column* ("once all required columns are found the tokenization for this
-//!   row can stop"), starts from the best positional-map hint instead of
-//!   column 0 when one exists, evaluates pushed-down predicates the moment
-//!   their column is parsed, and abandons the row on the first failing
-//!   predicate ("we abandon the tokenization of a row as soon as a predicate
-//!   fails").
+//! * **Phase 1** locates row boundaries in one block-parallel pass. Each
+//!   fixed-size block records its newlines split by the quote parity seen
+//!   since its first byte; a prefix XOR of the block parities gives every
+//!   block its exact entry state, so quoted and unquoted files take the
+//!   same parallel path. The result is cached in the [`PositionalMap`] so
+//!   newline scanning happens at most once per file.
+//! * **Phase 2** reads each morsel's rows on its worker and walks each row
+//!   only as far as the *maximum referenced column* ("once all required
+//!   columns are found the tokenization for this row can stop"), starts
+//!   from the best positional-map hint instead of column 0 when one
+//!   exists, evaluates pushed-down predicates the moment their column is
+//!   parsed, and abandons the row on the first failing predicate ("we
+//!   abandon the tokenization of a row as soon as a predicate fails").
 //!
 //! Everything the scan learns about row/field positions is recorded back
 //! into the positional map as a side effect — the paper's "file cracking"
@@ -33,6 +37,7 @@ use nodb_types::{
 
 use crate::bytes::{find_byte, find_byte2, find_byte3, parse_f64_bytes, parse_i64_bytes};
 use crate::posmap::{PositionalMap, UNKNOWN};
+use crate::source::{ReadBuf, Source, BLOCK_LOOKAHEAD};
 
 /// CSV dialect and scan-execution options.
 #[derive(Debug, Clone)]
@@ -42,8 +47,8 @@ pub struct CsvOptions {
     /// Quote character enabling RFC-4180-style quoting, or `None` for the
     /// fast unquoted path (the paper's numeric workloads).
     pub quote: Option<u8>,
-    /// Worker threads for tokenization (1 = serial). Quoted phase 1 is
-    /// always serial; phase 2 parallelises in both modes. When these
+    /// Worker threads for tokenization (1 = serial). Both phases run
+    /// on this many workers, quoted or not. When these
     /// options live inside an `EngineConfig`, `Engine::new` overwrites
     /// this field with the engine-wide `threads` knob — set that instead.
     pub threads: usize,
@@ -100,7 +105,9 @@ impl ScanOutput {
     }
 }
 
-/// Read a whole file, counting the bytes and the trip.
+/// Read a whole file, counting the bytes and the trip. Scans never need
+/// this (they read a [`Source`] range by range); it feeds split-file
+/// cracking, which rewrites a whole segment.
 pub fn read_file(path: &Path, counters: &WorkCounters) -> Result<Vec<u8>> {
     nodb_types::failpoints::trip("rawcsv.read_file")?;
     let mut f = File::open(path)?;
@@ -111,7 +118,7 @@ pub fn read_file(path: &Path, counters: &WorkCounters) -> Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Scan a file on disk. See [`scan_bytes`].
+/// Scan a file on disk, reading it range by range. See [`scan_source`].
 pub fn scan_file(
     path: &Path,
     opts: &CsvOptions,
@@ -119,16 +126,27 @@ pub fn scan_file(
     posmap: Option<&mut PositionalMap>,
     counters: &WorkCounters,
 ) -> Result<ScanOutput> {
-    let bytes = read_file(path, counters)?;
-    scan_bytes(&bytes, opts, spec, posmap, counters)
+    let source = Source::open(path, 0, counters)?;
+    scan_source(&source, opts, spec, posmap, counters)
 }
 
-/// Scan in-memory CSV bytes, producing qualifying rows for the requested
-/// columns and recording structural knowledge into `posmap` (if given).
-/// This is [`scan_morsels`] at [`DEFAULT_MORSEL_ROWS`] with the morsels
-/// merged in row order.
+/// Scan in-memory CSV bytes. See [`scan_source`].
 pub fn scan_bytes(
     bytes: &[u8],
+    opts: &CsvOptions,
+    spec: &ScanSpec<'_>,
+    posmap: Option<&mut PositionalMap>,
+    counters: &WorkCounters,
+) -> Result<ScanOutput> {
+    scan_source(&Source::bytes(bytes), opts, spec, posmap, counters)
+}
+
+/// Scan a source, producing qualifying rows for the requested columns and
+/// recording structural knowledge into `posmap` (if given). This is
+/// [`scan_morsels`] at [`DEFAULT_MORSEL_ROWS`] with the morsels merged in
+/// row order.
+pub fn scan_source(
+    source: &Source<'_>,
     opts: &CsvOptions,
     spec: &ScanSpec<'_>,
     posmap: Option<&mut PositionalMap>,
@@ -140,7 +158,7 @@ pub fn scan_bytes(
     let _p2 = profile::phase(Phase::Tokenize2);
     let morsels = Mutex::new(Vec::new());
     let rows_scanned = scan_morsels(
-        bytes,
+        source,
         opts,
         spec,
         posmap,
@@ -199,27 +217,26 @@ fn validate_spec(spec: &ScanSpec<'_>) -> Result<()> {
 }
 
 /// Phase-1 row boundaries, served from the positional map when still valid
-/// for these bytes and recorded back into it otherwise.
+/// for this source and recorded back into it otherwise.
 fn phase1_row_starts(
-    bytes: &[u8],
+    source: &Source<'_>,
     opts: &CsvOptions,
     posmap: &mut Option<&mut PositionalMap>,
-    counters: &WorkCounters,
 ) -> Result<std::sync::Arc<Vec<u64>>> {
     // Phase-1 time (one thread-local read when profiling is off). A
     // posmap-served call still counts a hit — its near-zero duration is
     // the observation.
     let _p = profile::phase(Phase::Tokenize1);
-    match posmap.as_ref().and_then(|m| {
-        (m.file_len() == bytes.len() as u64)
-            .then(|| m.row_starts())
-            .flatten()
-    }) {
+    let len = source.len() as u64;
+    match posmap
+        .as_ref()
+        .and_then(|m| (m.file_len() == len).then(|| m.row_starts()).flatten())
+    {
         Some(cached) => Ok(cached),
         None => {
-            let starts = find_row_starts(bytes, opts, counters)?;
+            let starts = row_starts(source, opts)?;
             if let Some(m) = posmap.as_deref_mut() {
-                m.set_row_starts(starts.clone(), bytes.len() as u64);
+                m.set_row_starts(starts, len);
                 Ok(m.row_starts().expect("just set"))
             } else {
                 Ok(std::sync::Arc::new(starts))
@@ -264,9 +281,7 @@ fn record_columns(posmap: Option<&PositionalMap>, max_touch: usize) -> Vec<usize
 
 /// Shared read-only context for phase-2 workers.
 struct ScanCtx<'a> {
-    bytes: &'a [u8],
     row_starts: &'a [u64],
-    file_len: usize,
     opts: &'a CsvOptions,
     schema: &'a Schema,
     needed: &'a [usize],
@@ -275,9 +290,12 @@ struct ScanCtx<'a> {
     preds_by_col: &'a BTreeMap<usize, Vec<&'a nodb_types::ColPred>>,
     record_cols: &'a [usize],
     posmap: Option<&'a PositionalMap>,
-    /// The query's cancel token, captured on the entry thread: phase-2
-    /// workers run on scope threads where the ambient scope is invisible.
+    /// The query's cancel token and memory guard, captured on the entry
+    /// thread: phase-2 workers run on scope threads where the ambient
+    /// scopes are invisible. The guard is charged for each worker's read
+    /// buffer.
     cancel: Option<nodb_types::CancelToken>,
+    memory: Option<nodb_types::MemoryGuard>,
 }
 
 /// Per-chunk output buffers.
@@ -314,8 +332,10 @@ impl LocalCounters {
     }
 }
 
-/// Phase-2 kernel: walk rows `[lo, hi)`.
-fn scan_row_range(ctx: &ScanCtx<'_>, lo: usize, hi: usize) -> Result<ChunkOut> {
+/// Phase-2 kernel: walk rows `[lo, hi)`, whose bytes `rows` start at
+/// source offset `row_starts[lo]` and run to the next row start (or the end
+/// of the source).
+fn scan_row_range(ctx: &ScanCtx<'_>, rows: &[u8], lo: usize, hi: usize) -> Result<ChunkOut> {
     nodb_types::failpoints::trip("rawcsv.morsel")?;
     let mut cancel_check = nodb_types::CancelCheck::with_token(ctx.cancel.clone());
     let n = hi - lo;
@@ -375,19 +395,21 @@ fn scan_row_range(ctx: &ScanCtx<'_>, lo: usize, hi: usize) -> Result<ChunkOut> {
     };
 
     let mut stash: Vec<Value> = vec![Value::Null; ctx.needed.len()];
+    let base = ctx.row_starts[lo];
 
     'rows: for row in lo..hi {
         cancel_check.tick(1)?;
-        let start = ctx.row_starts[row] as usize;
-        // The row's bytes run to the next row start (or EOF); the field
-        // walker treats '\n'/'\r' as terminators, so embedded trailing
-        // newlines (and any skipped empty lines) never need trimming here.
-        let next = if row + 1 < ctx.row_starts.len() {
-            ctx.row_starts[row + 1] as usize
+        let start = (ctx.row_starts[row] - base) as usize;
+        // The row's bytes run to the next row start (or the end of the
+        // range); the field walker treats '\n'/'\r' as terminators, so
+        // embedded trailing newlines (and any skipped empty lines) never
+        // need trimming here.
+        let next = if row + 1 < hi {
+            (ctx.row_starts[row + 1] - base) as usize
         } else {
-            ctx.file_len
+            rows.len()
         };
-        let rowb = &ctx.bytes[start..next];
+        let rowb = &rows[start..next];
         out.counters.rows_tokenized += 1;
 
         // Start from the best positional-map hint.
@@ -535,19 +557,22 @@ fn scan_row_range(ctx: &ScanCtx<'_>, lo: usize, hi: usize) -> Result<ChunkOut> {
 /// consume it directly.
 pub type Morsel = nodb_types::MorselBatch;
 
-/// Morsel-driven parallel scan: tokenize `bytes` in row morsels of
+/// Morsel-driven parallel scan: tokenize `source` in row morsels of
 /// `morsel_rows` and feed each finished morsel straight into `consume`
 /// (called concurrently from worker threads as `consume(worker, morsel)`),
 /// so downstream operators — predicate evaluation, partial aggregation,
 /// join builds — overlap with tokenization instead of waiting for a merged
 /// [`ScanOutput`]. Workers *steal* morsels from a shared counter, so skew
-/// (selective pushdown regions, short rows) balances automatically.
+/// (selective pushdown regions, short rows) balances automatically. Each
+/// worker reads its morsel's byte range into its own reused buffer, so
+/// reading overlaps tokenizing and raw bytes held at once stay bounded by
+/// workers × the largest morsel span.
 ///
 /// Structural knowledge flows into `posmap`: recordings are collected per
 /// morsel and written back once the workers have joined (the map is not
 /// shared mutably across threads). Returns the total rows scanned.
 pub fn scan_morsels<F>(
-    bytes: &[u8],
+    source: &Source<'_>,
     opts: &CsvOptions,
     spec: &ScanSpec<'_>,
     mut posmap: Option<&mut PositionalMap>,
@@ -559,7 +584,7 @@ where
     F: Fn(usize, Morsel) -> Result<()> + Sync,
 {
     validate_spec(spec)?;
-    let row_starts = phase1_row_starts(bytes, opts, &mut posmap, counters)?;
+    let row_starts = phase1_row_starts(source, opts, &mut posmap)?;
     let nrows = row_starts.len();
     let morsel_rows = morsel_rows.max(1);
     let n_morsels = nrows.div_ceil(morsel_rows);
@@ -589,9 +614,7 @@ where
     let record_cols = record_columns(posmap.as_deref(), max_touch);
 
     let ctx = ScanCtx {
-        bytes,
         row_starts: &row_starts,
-        file_len: bytes.len(),
         opts,
         schema: spec.schema,
         needed: &spec.needed,
@@ -601,6 +624,7 @@ where
         record_cols: &record_cols,
         posmap: posmap.as_deref(),
         cancel: nodb_types::cancel::current(),
+        memory: nodb_types::resource::current(),
     };
 
     /// Posmap recordings of one morsel: `(first_row, per-column offsets)`.
@@ -618,24 +642,24 @@ where
 
     // Scheduling (steal counter, error flag, thread scope) comes from the
     // shared `nodb-types` driver; the tokenizer contributes its per-worker
-    // counter batch as the init/flush hooks and the posmap collection plus
-    // `consume` as the step hook.
+    // counter batch and read buffer as the init/flush hooks and the
+    // range read, posmap collection plus `consume` as the step hook.
     nodb_types::drive_morsels(
         nrows,
         morsel_rows,
         opts.threads,
-        |_worker| LocalCounters::default(),
-        |local, worker, r| {
+        |_worker| (LocalCounters::default(), ReadBuf::new(ctx.memory.clone())),
+        |(local, buf), worker, r| {
+            let lo = ctx.row_starts[r.lo] as usize;
+            let hi = ctx
+                .row_starts
+                .get(r.hi)
+                .map_or(source.len(), |&s| s as usize);
             if let Some(p) = &prof {
-                let lo = ctx.row_starts[r.lo];
-                let hi = ctx
-                    .row_starts
-                    .get(r.hi)
-                    .copied()
-                    .unwrap_or(bytes.len() as u64);
-                p.add_bytes(hi - lo);
+                p.add_bytes((hi - lo) as u64);
             }
-            let mut chunk = scan_row_range(&ctx, r.lo, r.hi)?;
+            let rows = source.range(lo, hi, buf)?;
+            let mut chunk = scan_row_range(&ctx, rows, r.lo, r.hi)?;
             local.absorb(&chunk.counters);
             if !chunk.recordings.is_empty() {
                 recordings
@@ -655,7 +679,7 @@ where
                 },
             )
         },
-        |local| local.flush(counters),
+        |(local, _buf)| local.flush(counters),
     )?;
     #[allow(clippy::needless_option_as_deref)]
     if let Some(m) = posmap.as_deref_mut() {
@@ -843,107 +867,140 @@ fn decode_field(raw: &[u8], quote: Option<u8>) -> Result<Cow<'_, str>> {
     }
 }
 
-/// Push the offsets just past every `\n` in `bytes[lo..hi)` (absolute).
-#[inline]
-fn newline_starts_into(bytes: &[u8], lo: usize, hi: usize, out: &mut Vec<u64>) {
-    let mut from = lo;
-    while let Some(off) = find_byte(&bytes[from..hi], b'\n') {
-        from += off + 1;
-        out.push(from as u64);
-    }
-}
-
-/// Phase 1: locate the start offset of every non-empty row.
-///
-/// Fails only on an injected fault ("rawcsv.phase1") or cooperative
-/// cancellation — the quoted serial state machine polls the ambient
-/// [`nodb_types::CancelCheck`] every few thousand rows, so even a
-/// pathological single-threaded phase 1 aborts promptly.
+/// Phase 1: locate the start offset of every non-empty row of `bytes`, in
+/// one block-parallel pass (see the module docs). Fails only on an
+/// injected fault ("rawcsv.phase1") or cooperative cancellation.
 pub fn find_row_starts(
     bytes: &[u8],
     opts: &CsvOptions,
     _counters: &WorkCounters,
 ) -> Result<Vec<u64>> {
+    row_starts(&Source::bytes(bytes), opts)
+}
+
+/// Phase 1 over a source: the start offset of every row, blank rows
+/// dropped unless `opts.skip_blank_rows` is off.
+///
+/// One block-parallel pass through `run_morsels_with`. Each block (read
+/// on its worker with [`BLOCK_LOOKAHEAD`] bytes past its end) records the
+/// row starts after its newlines, split by the quote parity seen since the
+/// block's first byte, plus its total quote parity. A quote byte always
+/// toggles the serial quote state, so a prefix XOR of the block parities
+/// gives every block its exact entry state — not a guess — and that picks
+/// which of its two lists holds the real row starts. Unquoted files never
+/// toggle and use one list.
+///
+/// Fails only on an injected fault ("rawcsv.phase1"), a read error or
+/// cooperative cancellation, polled before every block.
+pub(crate) fn row_starts(source: &Source<'_>, opts: &CsvOptions) -> Result<Vec<u64>> {
     nodb_types::failpoints::trip("rawcsv.phase1")?;
-    let mut starts: Vec<u64> = Vec::new();
-    if bytes.is_empty() {
-        return Ok(starts);
+    let len = source.len();
+    let memory = nodb_types::resource::current();
+    // Profile worker aggregates count row morsels; byte blocks would
+    // inflate them. Phase 1's time is still timed by its caller.
+    let blocks = {
+        let _rows_only = profile::suspend();
+        nodb_types::run_morsels_with(
+            len,
+            source.phase1_block(),
+            opts.threads,
+            |_worker| (ReadBuf::new(memory.clone()), Default::default()),
+            |(buf, lists), _index, lo, hi| {
+                let bytes = source.range(lo, (hi + BLOCK_LOOKAHEAD).min(len), buf)?;
+                Ok(scan_block(bytes, lo, hi - lo, len, opts, lists))
+            },
+        )?
+    };
+    let mut entry = 0;
+    let mut total = 0;
+    for b in &blocks {
+        total += b.starts[entry].len();
+        entry ^= b.parity;
     }
+    let mut starts = Vec::with_capacity(total);
+    entry = 0;
+    for b in &blocks {
+        starts.extend(b.starts[entry].iter().map(|&s| b.lo + u64::from(s)));
+        entry ^= b.parity;
+    }
+    Ok(starts)
+}
+
+/// One phase-1 block's findings: `starts[p]` holds the kept row starts,
+/// relative to the block's first byte `lo` (blocks are far below 4 GiB),
+/// after newlines seen with quote parity `p` since that byte; `parity` is
+/// the block's total quote parity.
+struct Block1 {
+    lo: u64,
+    starts: [Vec<u32>; 2],
+    parity: usize,
+}
+
+/// Scan one phase-1 block: `bytes` holds source bytes `[lo, lo + n)` plus
+/// up to [`BLOCK_LOOKAHEAD`] more; `len` is the source length. A row start
+/// is every newline's next byte (and offset 0), except at the end of the
+/// source and, when skipping them, blank rows. The starts collect in the
+/// worker's reused `lists` and leave them as exact-size copies.
+fn scan_block(
+    bytes: &[u8],
+    lo: usize,
+    n: usize,
+    len: usize,
+    opts: &CsvOptions,
+    lists: &mut [Vec<u32>; 2],
+) -> Block1 {
+    let mut push = |parity: usize, s: usize| {
+        let tail = &bytes[s..(s + BLOCK_LOOKAHEAD).min(bytes.len())];
+        if lo + s < len && !(opts.skip_blank_rows && blank_row(tail, opts.quote)) {
+            lists[parity].push(s as u32);
+        }
+    };
+    if lo == 0 {
+        push(0, 0);
+    }
+    let mut parity = 0;
+    let mut i = 0;
     match opts.quote {
-        None if opts.threads > 1 && bytes.len() > 1 << 20 => {
-            let chunk = bytes.len().div_ceil(opts.threads);
-            // Each worker fills a vector of its own, returned through
-            // `join`: pushing into adjacent headers of one shared `Vec`
-            // would make the workers' length updates share a cache line.
-            // A panicking worker becomes a typed internal error; every
-            // worker is joined before the first one is reported.
-            let parts: Vec<Result<Vec<u64>>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..opts.threads)
-                    .map(|i| {
-                        let lo = (i * chunk).min(bytes.len());
-                        let hi = ((i + 1) * chunk).min(bytes.len());
-                        s.spawn(move || {
-                            let mut part = Vec::new();
-                            newline_starts_into(bytes, lo, hi, &mut part);
-                            part
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().map_err(|p| Error::from_panic("phase-1 worker", p)))
-                    .collect()
-            });
-            starts.push(0);
-            for part in parts {
-                starts.extend(part?);
-            }
-        }
-        None => {
-            starts.push(0);
-            newline_starts_into(bytes, 0, bytes.len(), &mut starts);
-        }
         Some(q) => {
-            // Serial state machine (newlines inside quotes don't break
-            // rows), jumping between interesting bytes SWAR-style instead
-            // of inspecting every byte.
-            let mut cancel_check = nodb_types::CancelCheck::new();
-            starts.push(0);
-            let mut in_quotes = false;
-            let mut i = 0;
-            while let Some(off) = find_byte2(&bytes[i..], q, b'\n') {
+            while let Some(off) = find_byte2(&bytes[i..n], q, b'\n') {
                 i += off;
                 if bytes[i] == q {
-                    in_quotes = !in_quotes;
-                } else if !in_quotes {
-                    starts.push((i + 1) as u64);
-                    cancel_check.tick(1)?;
+                    parity ^= 1;
+                } else {
+                    push(parity, i + 1);
                 }
                 i += 1;
             }
         }
-    }
-    // Drop the phantom start after a trailing newline and empty rows.
-    let len = bytes.len() as u64;
-    let mut filtered = Vec::with_capacity(starts.len());
-    for (i, &s) in starts.iter().enumerate() {
-        if s >= len {
-            continue;
-        }
-        let end = starts.get(i + 1).copied().unwrap_or(len);
-        // Content length excluding the newline (and a possible \r).
-        let mut content = &bytes[s as usize..end as usize];
-        if content.last() == Some(&b'\n') {
-            content = &content[..content.len() - 1];
-        }
-        if content.last() == Some(&b'\r') {
-            content = &content[..content.len() - 1];
-        }
-        if !content.is_empty() || !opts.skip_blank_rows {
-            filtered.push(s);
+        None => {
+            while let Some(off) = find_byte(&bytes[i..n], b'\n') {
+                i += off + 1;
+                push(0, i);
+            }
         }
     }
-    Ok(filtered)
+    let starts = [lists[0].clone(), lists[1].clone()];
+    lists.iter_mut().for_each(Vec::clear);
+    Block1 {
+        lo: lo as u64,
+        starts,
+        parity,
+    }
+}
+
+/// Is the row starting at a row boundary blank — nothing but a line
+/// terminator? `tail` is the source from the row start, cut to at most
+/// [`BLOCK_LOOKAHEAD`] bytes; a shorter tail ends at the end of the source.
+/// The state at a row start is outside quotes, so a newline there ends
+/// the row unless the quote byte is itself a line-terminator byte.
+fn blank_row(tail: &[u8], quote: Option<u8>) -> bool {
+    match tail {
+        // The last line of the source.
+        [b'\n' | b'\r'] | [b'\r', b'\n'] => true,
+        [b'\n', ..] => quote != Some(b'\n'),
+        [b'\r', b'\n', _] => !matches!(quote, Some(b'\r' | b'\n')),
+        _ => false,
+    }
 }
 
 #[cfg(test)]
@@ -1415,7 +1472,7 @@ mod tests {
             let mut pm = PositionalMap::new();
             let collected: std::sync::Mutex<Vec<Morsel>> = std::sync::Mutex::new(Vec::new());
             let rows = scan_morsels(
-                data.as_bytes(),
+                &Source::bytes(data.as_bytes()),
                 &o,
                 &spec,
                 Some(&mut pm),
@@ -1472,7 +1529,15 @@ mod tests {
             ..CsvOptions::default()
         };
         let c = counters();
-        let err = scan_morsels(data.as_bytes(), &o, &spec, None, &c, 16, &|_w, _m| Ok(()));
+        let err = scan_morsels(
+            &Source::bytes(data.as_bytes()),
+            &o,
+            &spec,
+            None,
+            &c,
+            16,
+            &|_w, _m| Ok(()),
+        );
         assert!(err.is_err());
     }
 
@@ -1678,7 +1743,7 @@ mod tests {
                 let c_par = WorkCounters::new();
                 let collected: std::sync::Mutex<Vec<Morsel>> = std::sync::Mutex::new(Vec::new());
                 let rows_scanned = scan_morsels(
-                    data.as_bytes(), &par_opts, &spec, None, &c_par, morsel_rows,
+                    &Source::bytes(data.as_bytes()), &par_opts, &spec, None, &c_par, morsel_rows,
                     &|_w, m| { collected.lock().unwrap().push(m); Ok(()) },
                 ).unwrap();
                 prop_assert_eq!(rows_scanned, serial.rows_scanned);
@@ -1741,6 +1806,299 @@ mod tests {
                         with_map.columns[&col].as_i64_slice().unwrap(),
                         without.columns[&col].as_i64_slice().unwrap()
                     );
+                }
+            }
+        }
+    }
+
+    /// File sources against slice sources, and parallel phase 1 against
+    /// the serial quote machine it replaced.
+    mod sources {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// The serial phase-1 state machine, kept as the oracle for the
+        /// block-parallel phase 1: one pass, toggling on every quote byte,
+        /// then the blank-row filter over each row's content.
+        fn serial_row_starts(bytes: &[u8], opts: &CsvOptions) -> Vec<u64> {
+            let mut starts = vec![0u64];
+            let mut in_quotes = false;
+            for (i, &b) in bytes.iter().enumerate() {
+                if Some(b) == opts.quote {
+                    in_quotes = !in_quotes;
+                } else if b == b'\n' && !in_quotes {
+                    starts.push(i as u64 + 1);
+                }
+            }
+            let len = bytes.len() as u64;
+            let mut kept = Vec::new();
+            for (i, &s) in starts.iter().enumerate() {
+                if s >= len {
+                    continue;
+                }
+                let end = starts.get(i + 1).copied().unwrap_or(len);
+                let mut content = &bytes[s as usize..end as usize];
+                if content.last() == Some(&b'\n') {
+                    content = &content[..content.len() - 1];
+                }
+                if content.last() == Some(&b'\r') {
+                    content = &content[..content.len() - 1];
+                }
+                if !content.is_empty() || !opts.skip_blank_rows {
+                    kept.push(s);
+                }
+            }
+            kept
+        }
+
+        /// A file in the temp directory, deleted on drop.
+        struct TempFile(std::path::PathBuf);
+
+        impl TempFile {
+            fn new(bytes: &[u8]) -> TempFile {
+                static NEXT: AtomicUsize = AtomicUsize::new(0);
+                let path = std::env::temp_dir().join(format!(
+                    "nodb_rawcsv_source_{}_{}.csv",
+                    std::process::id(),
+                    NEXT.fetch_add(1, Ordering::Relaxed)
+                ));
+                std::fs::write(&path, bytes).unwrap();
+                TempFile(path)
+            }
+        }
+
+        impl Drop for TempFile {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_file(&self.0);
+            }
+        }
+
+        fn text_schema() -> Schema {
+            Schema::new(vec![
+                nodb_types::Field::new("s", DataType::Str),
+                nodb_types::Field::new("a", DataType::Int64),
+                nodb_types::Field::new("b", DataType::Int64),
+            ])
+            .unwrap()
+        }
+
+        /// Run `scan_morsels` and merge its morsels in row order.
+        fn morsel_scan(
+            source: &Source<'_>,
+            opts: &CsvOptions,
+            spec: &ScanSpec<'_>,
+            posmap: &mut PositionalMap,
+            morsel_rows: usize,
+        ) -> Result<(Vec<u64>, Vec<Vec<Value>>, u64)> {
+            let c = WorkCounters::new();
+            let collected = std::sync::Mutex::new(Vec::new());
+            let rows = scan_morsels(
+                source,
+                opts,
+                spec,
+                Some(posmap),
+                &c,
+                morsel_rows,
+                &|_w, m| {
+                    collected.lock().unwrap().push(m);
+                    Ok(())
+                },
+            )?;
+            let mut morsels = collected.into_inner().unwrap();
+            morsels.sort_by_key(|m| m.index);
+            let mut rowids = Vec::new();
+            let mut cols = vec![Vec::new(); spec.needed.len()];
+            for m in morsels {
+                for (dst, col) in cols.iter_mut().zip(&m.columns) {
+                    dst.extend((0..col.len()).map(|i| col.get(i)));
+                }
+                rowids.extend(m.rowids);
+            }
+            Ok((rowids, cols, rows))
+        }
+
+        /// Positional-map contents: row starts and every recorded column.
+        type PosmapState = (Option<Vec<u64>>, Vec<(usize, Vec<u32>)>);
+
+        fn posmap_state(m: &PositionalMap) -> PosmapState {
+            (
+                m.row_starts().map(|s| s.to_vec()),
+                m.known_columns()
+                    .into_iter()
+                    .map(|c| (c, m.col_offsets(c).unwrap().to_vec()))
+                    .collect(),
+            )
+        }
+
+        #[test]
+        fn file_that_shrinks_after_open_is_a_typed_io_error() {
+            let f = TempFile::new("1,2\n3,4\n5,6\n".repeat(100).as_bytes());
+            let c = WorkCounters::new();
+            let source = Source::open(&f.0, 0, &c).unwrap();
+            std::fs::write(&f.0, b"1,2\n").unwrap();
+            let schema = Schema::ints(2);
+            let spec = ScanSpec {
+                schema: &schema,
+                needed: vec![1],
+                pushdown: None,
+            };
+            let err = scan_source(&source, &opts(), &spec, None, &c).unwrap_err();
+            match err {
+                Error::Io(e) => assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof),
+                other => panic!("expected an I/O error, got {other:?}"),
+            }
+        }
+
+        #[test]
+        fn read_buffers_are_charged_and_released() {
+            let data = "10,20\n".repeat(100_000);
+            let f = TempFile::new(data.as_bytes());
+            let schema = Schema::ints(2);
+            let spec = ScanSpec {
+                schema: &schema,
+                needed: vec![1],
+                pushdown: None,
+            };
+            let c = WorkCounters::new();
+            // 20 000-row morsels span 120 000 bytes; phase-1 blocks 32 KiB.
+            let scan = |guard: nodb_types::MemoryGuard| {
+                let _scope = nodb_types::MemoryScope::enter(guard);
+                let source = Source::open(&f.0, 0, &c)?.with_phase1_block(32 << 10);
+                morsel_scan(&source, &opts(), &spec, &mut PositionalMap::new(), 20_000)
+            };
+            let pool = nodb_types::MemoryPool::new(None);
+            let guard = nodb_types::MemoryGuard::new(None, Some(pool.clone()));
+            assert_eq!(scan(guard.clone()).unwrap().2, 100_000);
+            assert_eq!(guard.used(), 0, "charges end with the scan");
+            // One worker's largest range, less the unmetered floor.
+            assert_eq!(pool.peak(), 120_000 - (64 << 10) - BLOCK_LOOKAHEAD);
+            // Phase 1 reads the file once (plus block lookahead), phase 2
+            // once more, on one file trip.
+            let s = c.snapshot();
+            assert_eq!(s.file_trips, 1);
+            let len = data.len() as u64;
+            assert!(
+                s.bytes_read >= 2 * len && s.bytes_read < 2 * len + 64,
+                "{}",
+                s.bytes_read
+            );
+
+            let err = scan(nodb_types::MemoryGuard::new(Some(20_000), None)).unwrap_err();
+            assert!(matches!(err, Error::ResourceExhausted(_)), "{err:?}");
+        }
+
+        proptest! {
+            /// Block-parallel phase 1 finds exactly the serial machine's
+            /// row starts, for any block size and worker count, on bytes
+            /// dense in quotes, delimiters, CR and LF — including quote
+            /// bytes that are themselves line terminators.
+            #[test]
+            fn parallel_phase1_matches_serial_machine(
+                raw in proptest::collection::vec(0usize..6, 0..80),
+                quote in 0usize..4,
+                skip_blank_rows in proptest::bool::ANY,
+                block in 1usize..10,
+                threads in 1usize..4) {
+                let bytes: Vec<u8> = raw.iter().map(|&i| b"a,\"\n\r\n"[i]).collect();
+                let opts = CsvOptions {
+                    threads,
+                    quote: [None, Some(b'"'), Some(b'\r'), Some(b'\n')][quote],
+                    skip_blank_rows,
+                    ..CsvOptions::default()
+                };
+                let got = row_starts(&Source::bytes(&bytes).with_phase1_block(block), &opts).unwrap();
+                prop_assert_eq!(got, serial_row_starts(&bytes, &opts));
+            }
+
+            /// A file-source scan equals a slice scan: columns, rowids,
+            /// rows scanned, positional-map recordings and phase-1 output,
+            /// on quoted text with embedded `,`, `\n` and `""`, CRLF
+            /// endings, blank rows and headers, with tiny phase-1 blocks
+            /// and morsels so both edges land everywhere.
+            #[test]
+            fn file_source_scan_equals_slice_scan(
+                rows in proptest::collection::vec(
+                    (proptest::collection::vec(0usize..5, 0..6), -99i64..99, -99i64..99), 0..30),
+                blank_after in proptest::collection::vec(proptest::bool::ANY, 0..30),
+                quoted in proptest::bool::ANY,
+                crlf in proptest::bool::ANY,
+                header in proptest::bool::ANY,
+                trailing_newline in proptest::bool::ANY,
+                with_pushdown in proptest::bool::ANY,
+                threads in 0usize..3,
+                morsel_rows in 0usize..3,
+                block in 1usize..24) {
+                let threads = [1, 2, 3][threads];
+                let morsel_rows = [1, 7, 64][morsel_rows];
+                let eol = if crlf { "\r\n" } else { "\n" };
+                let mut data = String::new();
+                if header {
+                    data.push_str("s,a,b");
+                    data.push_str(eol);
+                }
+                let data_start = data.len();
+                for (i, (text, a, b)) in rows.iter().enumerate() {
+                    let cell: String = if quoted {
+                        let t: String = text.iter().map(|&k| ['x', ',', '\n', '"', ' '][k]).collect();
+                        format!("\"{}\"", t.replace('"', "\"\""))
+                    } else {
+                        text.iter().map(|&k| ['x', 'y', 'z', 'w', ' '][k]).collect()
+                    };
+                    data.push_str(&format!("{cell},{a},{b}{eol}"));
+                    if blank_after.get(i).copied().unwrap_or(false) {
+                        data.push_str(eol);
+                    }
+                }
+                if !trailing_newline {
+                    data.truncate(data.len() - data.len().min(eol.len()).min(data.len() - data_start));
+                }
+                let bytes = data.as_bytes();
+                let f = TempFile::new(bytes);
+                let opts = CsvOptions {
+                    threads,
+                    quote: quoted.then_some(b'"'),
+                    ..CsvOptions::default()
+                };
+                let schema = text_schema();
+                let conj = Conjunction::new(vec![ColPred::new(1, CmpOp::Gt, -50i64)]);
+                let counters = WorkCounters::new();
+                let slice = &bytes[data_start..];
+
+                // Phase 1 alone: file source, slice and the serial oracle.
+                let oracle = serial_row_starts(slice, &opts);
+                let file_src = Source::open(&f.0, data_start as u64, &counters)
+                    .unwrap()
+                    .with_phase1_block(block);
+                prop_assert_eq!(&row_starts(&file_src, &opts).unwrap(), &oracle);
+                prop_assert_eq!(&find_row_starts(slice, &opts, &counters).unwrap(), &oracle);
+
+                // Two scans each, the second served by the first's
+                // positional map: needed columns 0 and 2, then 2 alone.
+                let mut pm_file = PositionalMap::new();
+                let mut pm_slice = PositionalMap::new();
+                for needed in [vec![0, 2], vec![2]] {
+                    let spec = ScanSpec {
+                        schema: &schema,
+                        needed: needed.clone(),
+                        pushdown: with_pushdown.then_some(&conj),
+                    };
+                    let got = morsel_scan(&file_src, &opts, &spec, &mut pm_file, morsel_rows).unwrap();
+                    let want = scan_bytes(
+                        slice,
+                        &CsvOptions { threads: 1, ..opts.clone() },
+                        &spec,
+                        Some(&mut pm_slice),
+                        &counters,
+                    ).unwrap();
+                    prop_assert_eq!(&got.0, &want.rowids);
+                    prop_assert_eq!(got.2, want.rows_scanned);
+                    for (k, c) in needed.iter().enumerate() {
+                        let col = &want.columns[c];
+                        let want_vals: Vec<Value> = (0..col.len()).map(|i| col.get(i)).collect();
+                        prop_assert_eq!(&got.1[k], &want_vals);
+                    }
+                    prop_assert_eq!(posmap_state(&pm_file), posmap_state(&pm_slice));
                 }
             }
         }

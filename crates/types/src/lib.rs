@@ -57,7 +57,8 @@ pub use counters::{CountersSnapshot, WorkCounters};
 pub use error::{Error, Result};
 pub use interval::{Bound, Interval, IntervalSet};
 pub use morsel::{
-    drive_morsels, morsel_count, run_morsels, MorselBatch, MorselRange, DEFAULT_MORSEL_ROWS,
+    drive_morsels, morsel_count, run_morsels, run_morsels_with, MorselBatch, MorselRange,
+    DEFAULT_MORSEL_ROWS,
 };
 pub use predicate::{CmpOp, ColPred, Conjunction, SelectionBox};
 pub use profile::{

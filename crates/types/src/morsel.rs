@@ -234,15 +234,40 @@ where
     T: Send,
     F: Fn(usize, usize, usize) -> Result<T> + Sync,
 {
+    run_morsels_with(
+        n,
+        per_morsel,
+        threads,
+        |_worker| (),
+        |_state, i, lo, hi| f(i, lo, hi),
+    )
+}
+
+/// [`run_morsels`] with per-worker state: `init(worker)` builds it before
+/// the worker's first morsel, `f(state, index, lo, hi)` uses it (say, a
+/// buffer reused across morsels), and it drops after the worker's last.
+pub fn run_morsels_with<S, T, I, F>(
+    n: usize,
+    per_morsel: usize,
+    threads: usize,
+    init: I,
+    f: F,
+) -> Result<Vec<T>>
+where
+    S: Send,
+    T: Send,
+    I: Fn(usize) -> S + Sync,
+    F: Fn(&mut S, usize, usize, usize) -> Result<T> + Sync,
+{
     let mut slots: Vec<Mutex<Option<T>>> = Vec::new();
     slots.resize_with(morsel_count(n, per_morsel), || Mutex::new(None));
     drive_morsels(
         n,
         per_morsel,
         threads,
-        |_worker| (),
-        |_state, _worker, r| {
-            let v = f(r.index, r.lo, r.hi)?;
+        init,
+        |state, _worker, r| {
+            let v = f(state, r.index, r.lo, r.hi)?;
             *slots[r.index].lock().unwrap_or_else(|p| p.into_inner()) = Some(v);
             Ok(())
         },

@@ -406,6 +406,27 @@ impl Drop for ProfileScope {
     }
 }
 
+/// Hides the current thread's ambient profile until dropped, then puts it
+/// back with its open timers intact: a timer opened before the suspension
+/// still measures the whole span. Parallel loops started meanwhile see
+/// no profile, so their worker aggregates are not recorded.
+pub struct Suspend {
+    prev: Option<Active>,
+}
+
+/// Suspend the current thread's ambient profile (see [`Suspend`]).
+pub fn suspend() -> Suspend {
+    Suspend {
+        prev: CURRENT.with(|c| c.borrow_mut().take()),
+    }
+}
+
+impl Drop for Suspend {
+    fn drop(&mut self) {
+        CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
+    }
+}
+
 /// An open phase timer; closing it (drop) records the phase's self-time.
 /// When no ambient profile is installed this is an armed=false no-op that
 /// never touched the clock.

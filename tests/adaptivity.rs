@@ -302,3 +302,35 @@ fn cold_restart_via_persisted_columns() {
         "no CSV re-parse after restore"
     );
 }
+
+#[test]
+fn restore_refuses_columns_of_an_edited_file() {
+    let (dir, path) = setup("restore_edited", 2000, 3);
+    let e = engine_in(&dir, LoadingStrategy::FullLoad);
+    e.register_table("t", &path).unwrap();
+    e.sql("select sum(a1) from t").unwrap();
+    let cold = dir.join("cold-store");
+    assert_eq!(e.persist_table("t", &cold).unwrap(), 3);
+
+    // The file gains rows after the columns were persisted.
+    write_unique_int_table(&path, 2500, 3, 7).unwrap();
+    let e2 = engine_in(&dir, LoadingStrategy::ColumnLoads);
+    e2.register_table("t", &path).unwrap();
+    let err = e2.restore_table("t", &cold).unwrap_err();
+    assert!(matches!(err, nodb::Error::Schema(_)), "got {err:?}");
+    assert!(err.to_string().contains("2000"), "{err}");
+    // Nothing stale was installed: a query mixing a loaded column with
+    // a fresh one answers from the edited file.
+    let fresh = engine_in(&dir, LoadingStrategy::ColumnLoads);
+    fresh.register_table("t", &path).unwrap();
+    for sql in [
+        "select count(*), sum(a1) from t",
+        "select sum(a2) from t where a1 > 100",
+    ] {
+        assert_eq!(
+            e2.sql(sql).unwrap().rows,
+            fresh.sql(sql).unwrap().rows,
+            "{sql}"
+        );
+    }
+}
